@@ -11,7 +11,7 @@ built on top of it.
 __version__ = "0.1.0"
 
 from . import config, discrete, graph, optimizer, performance, pipeline
-from . import priors, quadratic, rng, scenario, sensing
+from . import quadratic, rng, scenario, sensing
 
 __all__ = [
     "config",
@@ -20,7 +20,6 @@ __all__ = [
     "optimizer",
     "performance",
     "pipeline",
-    "priors",
     "quadratic",
     "rng",
     "scenario",

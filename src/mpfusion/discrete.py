@@ -204,15 +204,10 @@ def linearized_coefficients(params: MrfParams) -> Dict[DirectedEdge, float]:
     }
 
 
-def uniform_coefficients(top: Topology, c0: float) -> Dict[DirectedEdge, float]:
-    """The equal-gain map: every directed edge gets c0."""
-    return {e: float(c0) for e in top.directed_edges()}
-
-
 def contraction_bound(top: Topology) -> float:
     """|c| below 1/(max_degree - 1) keeps the linear recursion bounded on
-    any graph; infinite when the bound is vacuous (max degree 1)."""
-    d = max_degree(top)
+    any graph; infinite when the bound is vacuous (max degree at most 1)."""
+    d = max_degree(top) if top.edges else 0
     return math.inf if d <= 1 else 1.0 / (d - 1)
 
 

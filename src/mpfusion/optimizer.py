@@ -5,24 +5,32 @@ bootstrap that does the whole thing without ground truth.
 Two design problems are covered.  The neighbourhood problem ("P2-style")
 tunes one coefficient per incident edge, own score fixed at weight one,
 maximizing detection probability at a pinned false-alarm rate; searches stay
-inside the open stability box |c| < 1/(max_degree - 1) so the same
+inside the open stability box of `discrete.contraction_bound`, so the same
 coefficients can also drive the iterated linear engine.  The network problem
 ("P1-style") tunes a full weight row per node under per-node false-alarm
 targets, optional detection floors, and an optional global false-alarm cost
 budget.
+
+Every design objective prices a candidate row through
+`performance.ComponentMoments.stats_for_row`, the single push-forward from a
+linear rule to a Gaussian mixture; exact components come from
+`scenario.moments_from_scenario` (both names are re-exported here), blind
+ones from `blind_adapt`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
+from .discrete import contraction_bound
 from .graph import MrfParams, Topology, neighbors
-from .performance import ConditionalStats, gfun, solve_threshold
-from .scenario import ScenarioStats
+from .performance import ComponentMoments, gfun, solve_threshold
+from .scenario import moments_from_scenario
 
 _COARSE_POINTS = 11
 _SCAN_POINTS = 21
@@ -64,64 +72,6 @@ def learn_couplings(labels, top: Topology, zeta: float) -> MrfParams:
 
 
 # ---------------------------------------------------------------------------
-# mixture moments keyed by interferer pattern
-
-
-@dataclass(frozen=True)
-class ComponentMoments:
-    """Per-node mixture components with per-node score moments.
-
-    For v in {-1, +1}: `weights[v]` is (M,), `means[v]` and `variances[v]`
-    are (M, N) — the conditional mean/variance of every node's score under
-    each component.  Entries may be NaN for nodes outside the estimated set
-    (blind estimation only sees one hop); touching a NaN in an objective is
-    an error, not a silent zero.
-    """
-
-    node: int
-    weights: dict
-    means: dict
-    variances: dict
-
-    def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
-        """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
-        idx = np.asarray(indices, dtype=np.intp) - 1
-        w = np.asarray(row_weights, dtype=float)
-        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
-        for v in (-1, 1):
-            m = self.means[v][:, idx]
-            s2 = self.variances[v][:, idx]
-            if np.any(np.isnan(m)) or np.any(np.isnan(s2)):
-                raise ValueError(
-                    f"component moments for node {self.node} do not cover "
-                    f"all requested nodes")
-            weights_by_v[v] = self.weights[v]
-            means_by_v[v] = m @ w + offset
-            stds_by_v[v] = np.sqrt(s2 @ (w ** 2))
-        return ConditionalStats(self.node, weights_by_v, means_by_v, stds_by_v)
-
-
-def moments_from_scenario(stats: ScenarioStats) -> dict:
-    """Exact ComponentMoments per node from analytic scenario statistics."""
-    out = {}
-    n = stats.config.node_count
-    live = stats.probs > 0
-    for j in range(1, n + 1):
-        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
-        for v in (-1, 1):
-            sel = live & (stats.x_table[j - 1] == v)
-            total = stats.probs[sel].sum()
-            if total <= 0:
-                raise ValueError(
-                    f"node {j} never has state {v:+d} under this scenario")
-            weights_by_v[v] = stats.probs[sel] / total
-            means_by_v[v] = stats.gamma_mean[:, sel].T.copy()
-            vars_by_v[v] = stats.gamma_var[:, sel].T.copy()
-        out[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # neighbourhood design (one coefficient per incident edge)
 
 
@@ -143,11 +93,11 @@ def _row_objective(moments: ComponentMoments, indices, weights, alpha: float):
 
 
 def stability_box(top: Topology) -> float:
-    """Half-width of the open coefficient box keeping iteration stable."""
-    deg = max(len(neighbors(top, j)) for j in top.nodes)
-    if deg <= 1:
-        return _UNBOUNDED_BOX
-    return 1.0 / (deg - 1)
+    """Half-width of the open coefficient box keeping iteration stable:
+    `contraction_bound`, with a finite stand-in where that bound is vacuous
+    (max degree at most one)."""
+    bound = contraction_bound(top)
+    return _UNBOUNDED_BOX if math.isinf(bound) else bound
 
 
 def _line_search(fun, i: int, point: np.ndarray, lo: float, hi: float):

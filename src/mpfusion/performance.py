@@ -1,7 +1,10 @@
 """Detection-performance machinery.
 
 Closed-form route: decision variables that are linear in the local scores
-have, conditional on the hidden state vector, a Gaussian mixture law.  The
+have, conditional on the hidden state vector, a Gaussian mixture law.
+`ComponentMoments` describes one node's mixture components by the score
+moments of every node, and `ComponentMoments.stats_for_row` is the single
+push-forward from a linear rule to that node's `ConditionalStats`.  The
 false-alarm / detection probabilities are then mixtures of Q-tails (`gfun`),
 and thresholds come from inverting that curve (`solve_threshold`).
 
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Topology, neighbors
 from .sensing import q_function
 
 _BISECT_TOL = 1e-9
@@ -65,6 +67,40 @@ class ConditionalStats:
         return self.weights[v].size
 
 
+@dataclass(frozen=True)
+class ComponentMoments:
+    """Per-node mixture components with per-node score moments.
+
+    For v in {-1, +1}: `weights[v]` is (M,), `means[v]` and `variances[v]`
+    are (M, N) — the conditional mean/variance of every node's score under
+    each component.  Entries may be NaN for nodes outside the estimated set
+    (blind estimation only sees one hop); touching a NaN in an objective is
+    an error, not a silent zero.
+    """
+
+    node: int
+    weights: dict
+    means: dict
+    variances: dict
+
+    def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
+        """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
+        idx = np.asarray(indices, dtype=np.intp) - 1
+        w = np.asarray(row_weights, dtype=float)
+        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
+        for v in (-1, 1):
+            m = self.means[v][:, idx]
+            s2 = self.variances[v][:, idx]
+            if np.any(np.isnan(m)) or np.any(np.isnan(s2)):
+                raise ValueError(
+                    f"component moments for node {self.node} do not cover "
+                    f"all requested nodes")
+            weights_by_v[v] = self.weights[v]
+            means_by_v[v] = m @ w + offset
+            stds_by_v[v] = np.sqrt(s2 @ (w ** 2))
+        return ConditionalStats(self.node, weights_by_v, means_by_v, stds_by_v)
+
+
 def gfun(tau, v: int, stats: ConditionalStats):
     """P{lambda > tau | x_j = v} for the Gaussian-mixture model.
 
@@ -78,17 +114,6 @@ def gfun(tau, v: int, stats: ConditionalStats):
     tails = q_function((t[..., None] - m) / s)
     out = tails @ w
     return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
-
-
-def gfun_neighbors(tau, v: int, stats: ConditionalStats):
-    """Tail mixture over neighbourhood-level components.
-
-    Identical arithmetic to `gfun`; the distinction is which conditioning
-    produced `stats` (one-hop configurations instead of full state vectors),
-    and keeping the name separate keeps call sites honest about which model
-    they priced.
-    """
-    return gfun(tau, v, stats)
 
 
 def solve_threshold(stats: ConditionalStats, v: int, target: float,
@@ -132,108 +157,6 @@ def solve_threshold(stats: ConditionalStats, v: int, target: float,
         else:
             hi = mid
     return mid
-
-
-# ---------------------------------------------------------------------------
-# building mixtures for linear decision rules
-
-
-def moment_table(profile, mode: str):
-    """Per-node score moments conditional on that node's own state.
-
-    Returns (means, vars), each (N, 2) with column 0 for x_j = -1 and
-    column 1 for x_j = +1, under the single-source model where a node's
-    nominal energy is either fully present or absent.
-    """
-    from . import sensing  # local import keeps module load order flexible
-
-    n = profile.node_count
-    means = np.empty((n, 2))
-    variances = np.empty((n, 2))
-    for j in range(1, n + 1):
-        e = profile.energies[j - 1]
-        if mode == "matched":
-            m_on, var = sensing.matched_moments(e, e, profile.noise_var)
-            m_off, _ = sensing.matched_moments(e, 0.0, profile.noise_var)
-            v_off = var
-        elif mode == "energy":
-            m_on, var = sensing.energy_moments(
-                e, profile.noise_var, profile.sample_count, profile.tau0)
-            m_off, v_off = sensing.energy_moments(
-                0.0, profile.noise_var, profile.sample_count, profile.tau0)
-        else:
-            raise ValueError(f"unknown sensing mode {mode!r}")
-        means[j - 1] = (m_off, m_on)
-        variances[j - 1] = (v_off, var)
-    return means, variances
-
-
-def _state_columns(configs: np.ndarray) -> np.ndarray:
-    """Map +-1 config rows to 0/1 column indices into a moment table."""
-    return ((configs + 1) // 2).astype(np.intp)
-
-
-def conditional_stats_from_weights(weight_matrix, offsets, prior, means, variances,
-                                   mode: str = "full",
-                                   top: Topology | None = None) -> dict:
-    """Mixture stats for decision variables lambda = W gamma + w0.
-
-    `prior` supplies configurations of the state vector; `means`/`variances`
-    are (N, 2) per-node score moments (columns: x = -1, x = +1).
-
-    mode "full" conditions on complete configurations: within a component
-    every score moment is pinned, so each component is exactly Gaussian.
-    mode "neighbors" groups configurations by the one-hop pattern around the
-    node; nodes outside the hop are integrated out by moment matching (total
-    mean and total variance of the sub-mixture), which is the fidelity the
-    one-hop designs actually assume.
-    """
-    w_mat = np.asarray(weight_matrix, dtype=float)
-    w0 = np.asarray(offsets, dtype=float)
-    n = w_mat.shape[0]
-    if w_mat.shape != (n, n) or w0.shape != (n,):
-        raise ValueError("need square weights and per-node offsets")
-    if mode not in ("full", "neighbors"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "neighbors" and top is None:
-        raise ValueError("neighbors mode requires the topology")
-
-    out = {}
-    for j in range(1, n + 1):
-        row = w_mat[j - 1]
-        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
-        for v in (-1, 1):
-            configs, probs = prior.conditional(j, v)
-            cols = _state_columns(configs)
-            node_idx = np.arange(n)
-            comp_mean = (means[node_idx, cols] @ row) + w0[j - 1]
-            comp_var = variances[node_idx, cols] @ (row ** 2)
-            if mode == "full":
-                weights_by_v[v] = probs
-                means_by_v[v] = comp_mean
-                stds_by_v[v] = np.sqrt(comp_var)
-            else:
-                hood = [k - 1 for k in neighbors(top, j)]
-                keys = [tuple(cfg) for cfg in configs[:, hood]]
-                order = {}
-                for key in keys:
-                    order.setdefault(key, len(order))
-                p_grp = np.zeros(len(order))
-                m_grp = np.zeros(len(order))
-                v_grp = np.zeros(len(order))
-                for key, p, m, s2 in zip(keys, probs, comp_mean, comp_var):
-                    g = order[key]
-                    p_grp[g] += p
-                    m_grp[g] += p * m
-                    v_grp[g] += p * (s2 + m * m)
-                m_grp /= p_grp
-                v_grp = v_grp / p_grp - m_grp ** 2
-                v_grp = np.maximum(v_grp, 1e-300)
-                weights_by_v[v] = p_grp
-                means_by_v[v] = m_grp
-                stds_by_v[v] = np.sqrt(v_grp)
-        out[j] = ConditionalStats(j, weights_by_v, means_by_v, stds_by_v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ with a fixed duty cycle.
 
 Everything here is driven by the keyed streams in `rng`, so campaigns are
 reproducible from (seed, index) regardless of what else ran first.
+
+The analytic route to a linear rule's mixture is `scenario_stats` ->
+`moments_from_scenario` (exact per-pattern components of every node) ->
+`performance.ComponentMoments.stats_for_row`, the single push-forward;
+`stats_for_weights` applies it to a whole weight matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import rng, sensing
 from .graph import Topology, chain
-from .performance import ConditionalStats
+from .performance import ComponentMoments, ConditionalStats
 
 _OBS_CHUNK = 2048
 
@@ -417,26 +422,21 @@ def scenario_stats(config: ScenarioConfig) -> ScenarioStats:
     return ScenarioStats(config, pats, probs, x_table, mean, var)
 
 
-def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
-    """ConditionalStats for linear rules lambda = W gamma + w0, exactly.
+def moments_from_scenario(stats: ScenarioStats) -> dict:
+    """Exact ComponentMoments per node from analytic scenario statistics.
 
     Conditional on an activity pattern the scores are independent Gaussians,
-    so each pattern contributes one exact mixture component.  Patterns with
-    zero stationary probability are dropped; if a node has no mass on one
-    hypothesis (e.g. perpetually occupied), that node raises.
+    so each live pattern with x_j = v is one exact mixture component of node
+    j under hypothesis v, weighted by its renormalized stationary
+    probability.  Patterns with zero stationary probability are dropped; if
+    a node has no mass on one hypothesis (e.g. perpetually occupied), that
+    node raises.
     """
-    w_mat = np.asarray(weight_matrix, dtype=float)
-    w0 = np.asarray(offsets, dtype=float)
-    n = stats.config.node_count
-    if w_mat.shape != (n, n) or w0.shape != (n,):
-        raise ValueError("need square weights and per-node offsets")
-    live = stats.probs > 0
     out = {}
+    n = stats.config.node_count
+    live = stats.probs > 0
     for j in range(1, n + 1):
-        row = w_mat[j - 1]
-        comp_mean = row @ stats.gamma_mean + w0[j - 1]       # (M,)
-        comp_var = (row ** 2) @ stats.gamma_var
-        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
+        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
         for v in (-1, 1):
             sel = live & (stats.x_table[j - 1] == v)
             total = stats.probs[sel].sum()
@@ -444,10 +444,26 @@ def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
                 raise ValueError(
                     f"node {j} never has state {v:+d} under this scenario")
             weights_by_v[v] = stats.probs[sel] / total
-            means_by_v[v] = comp_mean[sel]
-            stds_by_v[v] = np.sqrt(comp_var[sel])
-        out[j] = ConditionalStats(j, weights_by_v, means_by_v, stds_by_v)
+            means_by_v[v] = stats.gamma_mean[:, sel].T.copy()
+            vars_by_v[v] = stats.gamma_var[:, sel].T.copy()
+        out[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
     return out
+
+
+def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
+    """ConditionalStats for linear rules lambda = W gamma + w0, exactly.
+
+    Row j of W (with offset w0_j) pushed through node j's exact components
+    from `moments_from_scenario`.
+    """
+    w_mat = np.asarray(weight_matrix, dtype=float)
+    w0 = np.asarray(offsets, dtype=float)
+    n = stats.config.node_count
+    if w_mat.shape != (n, n) or w0.shape != (n,):
+        raise ValueError("need square weights and per-node offsets")
+    nodes = np.arange(1, n + 1)
+    return {j: cm.stats_for_row(nodes, w_mat[j - 1], w0[j - 1])
+            for j, cm in moments_from_scenario(stats).items()}
 
 
 def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,

@@ -31,10 +31,10 @@ from mpfusion.discrete import (
     run_messages,
     s_transfer,
     sumprod_step,
-    uniform_coefficients,
     violates_contraction,
 )
 from mpfusion.graph import Topology, chain, star, uniform_params
+from mpfusion.optimizer import ContractionWarning, egc_weights
 
 
 def _enumerate_lambdas(top, params, gamma, mode):
@@ -225,7 +225,7 @@ def test_linear_engine_hand_case():
     # chain 1-2-3, c = 0.5, one round: lambda_2 = g2 + 0.5 g1 + 0.5 g3
     top = chain(3)
     g = np.array([1.0, 2.0, -4.0])
-    coeff = uniform_coefficients(top, 0.5)
+    coeff = egc_weights(top, 0.5)
     lam = decision_variables(
         run_messages(top, g, LINEARIZED, 1, coefficients=coeff), top, g)
     np.testing.assert_allclose(lam, [1.0 + 1.0, 2.0 - 1.5, -4.0 + 1.0])
@@ -241,9 +241,11 @@ def test_linearized_coefficients_follow_convention():
 def test_contraction_bound_and_violations():
     assert contraction_bound(chain(5)) == 1.0
     assert contraction_bound(star(5)) == pytest.approx(1.0 / 3.0)
+    assert contraction_bound(chain(1)) == math.inf
     top = star(5)
-    assert not violates_contraction(top, uniform_coefficients(top, 0.33))
-    assert violates_contraction(top, uniform_coefficients(top, 0.34))
+    assert not violates_contraction(top, egc_weights(top, 0.33))
+    with pytest.warns(ContractionWarning):
+        assert violates_contraction(top, egc_weights(top, 0.34))
 
 
 # ------------------------------------------------------------------ decide

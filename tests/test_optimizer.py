@@ -130,6 +130,7 @@ def test_stability_box_values():
     assert stability_box(chain(5)) == 1.0
     assert stability_box(star(5)) == pytest.approx(1.0 / 3.0)
     assert stability_box(chain(2)) == 10.0  # documented stand-in for 'unbounded'
+    assert stability_box(chain(1)) == 10.0  # edgeless: same stand-in
 
 
 def test_optimize_p2_beats_fine_grid_oracle():

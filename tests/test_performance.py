@@ -15,18 +15,12 @@ from mpfusion import rng
 from mpfusion.performance import (
     ConditionalStats,
     GaussianityReport,
-    conditional_stats_from_weights,
     empirical_gfun,
     gaussianity_check,
     gfun,
-    gfun_neighbors,
-    moment_table,
     monte_carlo_perf,
     solve_threshold,
 )
-from mpfusion.priors import joint_prior
-from mpfusion.graph import chain, uniform_params
-from mpfusion.sensing import SignalProfile, energy_moments, matched_moments
 
 
 def _mix(weights, means, stds):
@@ -54,7 +48,6 @@ def test_gfun_mixture_hand_sum():
     want = sum(wi * 0.5 * math.erfc((tau - mi) / (si * math.sqrt(2)))
                for wi, mi, si in zip(w, m, s))
     assert gfun(tau, -1, stats) == pytest.approx(want, abs=1e-14)
-    assert gfun_neighbors(tau, -1, stats) == gfun(tau, -1, stats)
 
 
 def test_gfun_monte_carlo_agreement():
@@ -115,109 +108,6 @@ def test_conditional_stats_validation():
         ConditionalStats(1, {-1: np.array([1.0]), 1: np.array([1.0])},
                          {-1: np.zeros(1), 1: np.zeros(1)},
                          {-1: np.zeros(1), 1: np.ones(1)})  # zero spread
-
-
-# ------------------------------------------------------------ moment tables
-
-
-def test_moment_table_energy_matches_direct_formulas():
-    prof = SignalProfile(energies=(10.0, 40.0), sample_count=100, far=0.1)
-    means, variances = moment_table(prof, "energy")
-    for j, e in ((1, 10.0), (2, 40.0)):
-        m_on, v_on = energy_moments(e, 1.0, 100, prof.tau0)
-        m_off, v_off = energy_moments(0.0, 1.0, 100, prof.tau0)
-        assert means[j - 1, 1] == pytest.approx(m_on, abs=1e-15)
-        assert means[j - 1, 0] == pytest.approx(m_off, abs=1e-15)
-        assert variances[j - 1, 1] == pytest.approx(v_on, abs=1e-15)
-        assert variances[j - 1, 0] == pytest.approx(v_off, abs=1e-15)
-
-
-def test_moment_table_matched_columns():
-    prof = SignalProfile(energies=(25.0,), sample_count=100)
-    means, variances = moment_table(prof, "matched")
-    m_on, v_on = matched_moments(25.0, 25.0, 1.0)
-    m_off, _ = matched_moments(25.0, 0.0, 1.0)
-    assert means[0, 1] == pytest.approx(m_on)
-    assert means[0, 0] == pytest.approx(m_off)
-    assert variances[0, 0] == variances[0, 1] == pytest.approx(v_on)
-
-
-def test_moment_table_unknown_mode():
-    prof = SignalProfile(energies=(25.0,))
-    with pytest.raises(ValueError):
-        moment_table(prof, "cyclostationary")
-
-
-# ----------------------------------------------- mixtures from weight rows
-
-
-def _tiny_model():
-    top = chain(3)
-    params = uniform_params(top, 0.4)
-    prior = joint_prior(params, top)
-    prof = SignalProfile(energies=(12.0, 20.0, 8.0), sample_count=100)
-    means, variances = moment_table(prof, "energy")
-    return top, prior, means, variances
-
-
-def test_full_mode_matches_monte_carlo():
-    top, prior, means, variances = _tiny_model()
-    w = np.array([[1.0, 0.5, 0.0],
-                  [0.3, 1.0, 0.3],
-                  [0.0, 0.5, 1.0]])
-    w0 = np.array([0.1, 0.0, -0.2])
-    stats = conditional_stats_from_weights(w, w0, prior, means, variances)
-    gen = rng.stream(32, rng.GENERIC, 0)
-    n = 150000
-    # sample hidden states from the prior, then scores, then lambda
-    idx = gen.choice(prior.configs.shape[0], size=n, p=prior.probs)
-    states = prior.configs[idx]  # (n, 3)
-    cols = (states + 1) // 2
-    node_idx = np.arange(3)
-    mu = means[node_idx, cols]
-    sd = np.sqrt(variances[node_idx, cols])
-    scores = mu + sd * gen.standard_normal((n, 3))
-    lam = scores @ w.T + w0
-    for j in (1, 2, 3):
-        for v in (-1, 1):
-            mask = states[:, j - 1] == v
-            for tau in (-0.5, 0.2):
-                p = gfun(tau, v, stats[j])
-                phat = np.mean(lam[mask, j - 1] > tau)
-                se = math.sqrt(max(p * (1 - p), 1e-12) / mask.sum())
-                assert abs(phat - p) < 4 * se
-
-
-def test_neighbors_mode_matches_full_mode_moments():
-    # grouping must preserve total conditional mean and variance
-    top, prior, means, variances = _tiny_model()
-    w = np.array([[1.0, 0.4, 0.2],
-                  [0.4, 1.0, 0.4],
-                  [0.2, 0.4, 1.0]])
-    w0 = np.zeros(3)
-    full = conditional_stats_from_weights(w, w0, prior, means, variances)
-    hood = conditional_stats_from_weights(w, w0, prior, means, variances,
-                                          mode="neighbors", top=top)
-    for j in (1, 2, 3):
-        for v in (-1, 1):
-            def total_moments(cs):
-                wts, m, s = cs.weights[v], cs.means[v], cs.stds[v]
-                mean = float(wts @ m)
-                var = float(wts @ (s**2 + m**2) - mean**2)
-                return mean, var
-            m_full, v_full = total_moments(full[j])
-            m_hood, v_hood = total_moments(hood[j])
-            assert m_hood == pytest.approx(m_full, abs=1e-12)
-            assert v_hood == pytest.approx(v_full, abs=1e-12)
-    # and the center node's one-hop grouping is strictly coarser
-    assert hood[2].component_count(1) <= full[2].component_count(1)
-
-
-def test_neighbors_mode_requires_topology():
-    _, prior, means, variances = _tiny_model()
-    with pytest.raises(ValueError):
-        conditional_stats_from_weights(np.eye(3), np.zeros(3), prior,
-                                       means, variances, mode="neighbors")
 
 
 # ------------------------------------------------------------ Monte Carlo

@@ -6,14 +6,15 @@ Two independent oracles:
   their closed form (ratio expressions in u1, v1) and compared against the
   generic recursion;
 * the per-edge maximization is redone numerically (coarse grid + golden
-  section) and must land on the affine stationary point.
+  section) and must not reach a higher objective than the affine
+  stationary point.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
@@ -152,6 +153,8 @@ def test_round2_closed_form_star_hub():
     a_in=st.floats(0.0, 0.3),
     b_in=st.floats(-1.0, 1.0),
 )
+# golden section lands 1.6e-7 off this exact closed form (a flat maximum)
+@example(gamma=-3.0, energy=2.0, coupling=0.0, xj=0.0, a_in=0.28125, b_in=0.0)
 def test_affine_step_is_the_numeric_maximizer(gamma, energy, coupling, xj,
                                               a_in, b_in):
     convention = PAPER
@@ -159,8 +162,18 @@ def test_affine_step_is_the_numeric_maximizer(gamma, energy, coupling, xj,
     u, v = affine_step(gamma, energy, coupling, [a_in], [b_in], convention)
     curv = alpha + a_in
     lin = beta + b_in + coupling * xj
-    xstar = _numeric_argmax(curv, lin)
-    assert u + v * xj == pytest.approx(xstar, abs=1e-7)
+
+    def objective(x):
+        return curv * x**2 + lin * x
+
+    # Compare objective values, not arguments: golden section cannot place
+    # a flat maximum much closer than sqrt(eps) * |x|, but the objective it
+    # reaches is within roundoff of the maximum.  An intercept off by 1e-4
+    # loses |curv| * 1e-8 >= 2e-9, far above the slack.
+    x = u + v * xj
+    best = objective(_numeric_argmax(curv, lin))
+    assert objective(x) >= best - 1e-12 * max(1.0, abs(best))
+    assert abs(2.0 * curv * x + lin) <= 1e-9 * max(1.0, abs(lin))
 
 
 def test_outgoing_quadratic_matches_plugged_in_objective():

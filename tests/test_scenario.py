@@ -254,25 +254,41 @@ def test_scenario_stats_probabilities():
     np.testing.assert_array_equal(stats.x_table[2], [-1, 1, 1, 1])
 
 
-def test_two_calibration_routes_agree_on_linear_rule():
-    cfg = ScenarioConfig(rho_db=-5.0)
-    stats = scenario_stats(cfg)
-    w = np.eye(5)
-    w[1, 0] = 0.5
-    w[1, 2] = 0.5
-    analytic = stats_for_weights(stats, w, np.zeros(5))
+def _tree_config():
+    """15-node binary tree, coherent sensing, transmitter p covering
+    (p, 2p, 2p + 1): the benchmark's tree-engines scenario."""
+    edges = tuple((i // 2, i) for i in range(2, 16))
+    coverage = {p: (p, 2 * p, 2 * p + 1) for p in range(1, 8)}
+    return ScenarioConfig(node_count=15, edges=edges, coverage=coverage,
+                          rho_db=-16.0, on_prob=(0.5,) * 7,
+                          sensing_mode="matched")
 
-    camp = run_campaign(cfg, 60000, seed=15)
-    lam = w @ camp.gamma
-    empirical = empirical_conditional_stats(lam, camp.x, camp.activity)
-    for j in (1, 2, 3):
-        for v in (-1, 1):
-            for tau in (-0.4, 0.0, 0.6):
-                p_ana = gfun(tau, v, analytic[j])
-                p_emp = gfun(tau, v, empirical[j])
-                n = 60000 * min(1.0, max(p_ana * (1 - p_ana), 0.02))
-                assert abs(p_ana - p_emp) < 4 * math.sqrt(
-                    p_ana * (1 - p_ana) / 60000 + 1e-6) + 0.01
+
+def test_two_calibration_routes_agree_on_linear_rule():
+    chain_w = np.eye(5)
+    chain_w[1, 0] = 0.5
+    chain_w[1, 2] = 0.5
+    tree = _tree_config()
+    tree_w = np.eye(15)
+    for i, j in tree.edges:
+        tree_w[i - 1, j - 1] = tree_w[j - 1, i - 1] = 0.3
+    cases = [
+        (ScenarioConfig(rho_db=-5.0), chain_w, np.zeros(5), (1, 2, 3)),
+        (tree, tree_w, np.linspace(-0.3, 0.4, 15), (1, 2, 5, 8)),
+    ]
+    slots = 60000
+    for cfg, w, w0, nodes in cases:
+        analytic = stats_for_weights(scenario_stats(cfg), w, w0)
+        camp = run_campaign(cfg, slots, seed=15)
+        lam = w @ camp.gamma + w0[:, None]
+        empirical = empirical_conditional_stats(lam, camp.x, camp.activity)
+        for j in nodes:
+            for v in (-1, 1):
+                for tau in (-0.4, 0.0, 0.6):
+                    p_ana = gfun(tau, v, analytic[j])
+                    p_emp = gfun(tau, v, empirical[j])
+                    assert abs(p_ana - p_emp) < 4 * math.sqrt(
+                        p_ana * (1 - p_ana) / slots + 1e-6) + 0.01
 
 
 def test_stats_for_weights_never_on_node_raises():
