@@ -11,9 +11,14 @@ coefficients can also drive the iterated linear engine.  The network problem
 targets, optional detection floors, and an optional global false-alarm cost
 budget.
 
-Every design objective prices a candidate row through
-`performance.ComponentMoments.stats_for_row`, the single push-forward from a
-linear rule to a Gaussian mixture; exact components come from
+Both searches are cyclic coordinate ascent from several starts.  Each line
+search scans 21 points across the box, then re-scans 21 points on
+[best - step, best + step] (clipped to the box) until the grid step is at
+most `_LINE_TOL`; P2's coarse start grid is one more scan.  Every scan is one
+batch: the design objective prices G candidate rows at once through
+`performance.ComponentMoments.stats_for_rows`, the single push-forward from
+linear rules to Gaussian mixtures, and `performance.solve_thresholds`, which
+pins all G false-alarm rates together.  Exact components come from
 `scenario.moments_from_scenario` (both names are re-exported here), blind
 ones from `blind_adapt`.
 """
@@ -29,12 +34,12 @@ import numpy as np
 from . import rng
 from .discrete import contraction_bound
 from .graph import MrfParams, Topology, neighbors
-from .performance import ComponentMoments, gfun, solve_threshold
+from .performance import (ComponentMoments, gfun, mixture_tail, solve_threshold,
+                          solve_thresholds)
 from .scenario import moments_from_scenario
 
 _COARSE_POINTS = 11
 _SCAN_POINTS = 21
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _STEP_TOL = 1e-4
 _LINE_TOL = 1e-5
 _MAX_SWEEPS = 60
@@ -86,10 +91,17 @@ class P2Solution:
     converged: bool
 
 
-def _row_objective(moments: ComponentMoments, indices, weights, alpha: float):
-    stats = moments.stats_for_row(indices, weights)
-    tau = solve_threshold(stats, -1, alpha)
-    return gfun(tau, 1, stats), tau
+def _row_objective(moments: ComponentMoments, indices, rows, alpha: float):
+    """Model Pd and threshold, (G,) each, of the G rules `rows` (G, d) at
+    false-alarm rate alpha."""
+    mix = moments.stats_for_rows(indices, rows)
+    tau = solve_thresholds(*mix[-1], alpha)
+    return mixture_tail(*mix[1], tau), tau
+
+
+def _unit_own_weight(coefficients):
+    """Rows (G, 1 + d) with own weight one before the (G, d) coefficients."""
+    return np.hstack((np.ones((len(coefficients), 1)), coefficients))
 
 
 def stability_box(top: Topology) -> float:
@@ -101,46 +113,33 @@ def stability_box(top: Topology) -> float:
 
 
 def _line_search(fun, i: int, point: np.ndarray, lo: float, hi: float):
-    """Maximize fun over coordinate i by scan + golden refinement."""
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    """Maximize fun over coordinate i: a scan of [lo, hi], then re-scans of
+    [best - step, best + step] clipped to [lo, hi] until the grid step is at
+    most _LINE_TOL.  `fun` maps a (G, d) batch of points to (G,) values.
+    Leaves the best coordinate in point[i] and returns its value."""
+    a, b = lo, hi
     best_val, best_c = -np.inf, point[i]
-    for c in grid:
-        point[i] = c
-        val = fun(point)
-        if val > best_val:
-            best_val, best_c = val, c
-    step = grid[1] - grid[0]
-    a = max(lo, best_c - step)
-    b = min(hi, best_c + step)
-    # golden-section refinement on the bracketing interval
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    point[i] = x1
-    f1 = fun(point)
-    point[i] = x2
-    f2 = fun(point)
-    while b - a > _LINE_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            point[i] = x2
-            f2 = fun(point)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            point[i] = x1
-            f1 = fun(point)
-    candidates = [(best_val, best_c), (f1, x1), (f2, x2)]
-    val, c = max(candidates, key=lambda vc: vc[0])
-    point[i] = c
-    return val
+    batch = np.repeat(point[None], _SCAN_POINTS, axis=0)
+    while True:
+        grid = np.linspace(a, b, _SCAN_POINTS)
+        batch[:, i] = grid
+        vals = fun(batch)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_c = float(vals[k]), grid[k]
+        step = grid[1] - grid[0]
+        if step <= _LINE_TOL:
+            break
+        a, b = max(lo, best_c - step), min(hi, best_c + step)
+    point[i] = best_c
+    return best_val
 
 
 def _coordinate_ascent(fun, start: np.ndarray, box: float):
     """Cyclic coordinate ascent inside [-box, box]^d; returns (point, value,
     converged)."""
     point = start.copy()
-    value = fun(point)
+    value = float(fun(point[None])[0])
     if point.size == 0:
         return point, value, True
     for _ in range(_MAX_SWEEPS):
@@ -176,19 +175,17 @@ def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
     indices = np.array([node] + list(nbrs))
     evals = 0
 
-    def fun(c):
+    def fun(batch):
         nonlocal evals
-        evals += 1
-        pd, _ = _row_objective(moments, indices, np.concatenate(([1.0], c)), alpha)
-        return pd
+        evals += len(batch)
+        return _row_objective(moments, indices, _unit_own_weight(batch), alpha)[0]
 
     starts = [np.zeros(dim)]
     if 0 < dim <= 2:
         axes = np.linspace(-box, box, _COARSE_POINTS)
         mesh = np.meshgrid(*([axes] * dim), indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = [fun(c) for c in grid]
-        starts.append(grid[int(np.argmax(vals))].copy())
+        starts.append(grid[int(np.argmax(fun(grid)))].copy())
     elif dim > 2:
         gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, node)
         for _ in range(8):
@@ -201,10 +198,9 @@ def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
         if val > best_val:
             best_point, best_val, converged = point, val, ok
 
-    pd, tau = _row_objective(
-        moments, indices, np.concatenate(([1.0], best_point)), alpha)
+    pd, tau = _row_objective(moments, indices, _unit_own_weight(best_point[None]), alpha)
     return P2Solution(node, dict(zip(nbrs, (float(c) for c in best_point))),
-                      float(tau), float(pd), alpha, evals, converged)
+                      float(tau[0]), float(pd[0]), alpha, evals, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,9 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
     budget is given and sum(cost * alpha) exceeds it, the per-node targets
     are scaled down proportionally and thresholds re-solved with weights
     kept — a heuristic, reported as such via `notes`.  Detection floors
-    (betas) are checked, not enforced; `feasible` reports the outcome.
+    (betas) are checked, not enforced; `feasible` reports the outcome.  Rows
+    whose kept ascent stopped at the sweep cap before converging are named
+    in `notes`.
     """
     n = top.node_count
     alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (n,)).copy()
@@ -252,6 +250,7 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
             notes.append("false-alarm targets scaled to meet the cost budget")
 
     weight_matrix = np.eye(n)
+    capped = []
     thresholds = np.zeros(n)
     pf = np.zeros(n)
     pd = np.zeros(n)
@@ -259,13 +258,9 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
         others = [i for i in range(1, n + 1) if i != j]
         indices = np.array([j] + others)
         cm = moments[j]
-        evals = 0
 
-        def fun(c):
-            nonlocal evals
-            evals += 1
-            val, _ = _row_objective(cm, indices, np.concatenate(([1.0], c)), alphas[j - 1])
-            return val
+        def fun(batch):
+            return _row_objective(cm, indices, _unit_own_weight(batch), alphas[j - 1])[0]
 
         hood = optimize_p2(cm, top, j, float(alphas[j - 1]), seed=seed)
         seeded = np.zeros(len(others))
@@ -276,11 +271,13 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
         gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, 100 + j)
         starts.append(np.clip(gen.normal(scale=0.3, size=len(others)), -box, box))
 
-        best_point, best_val = seeded, -np.inf
+        best_point, best_val, converged = seeded, -np.inf, True
         for start in starts:
-            point, val, _ = _coordinate_ascent(fun, start, box)
+            point, val, ok = _coordinate_ascent(fun, start, box)
             if val > best_val:
-                best_point, best_val = point, val
+                best_point, best_val, converged = point, val, ok
+        if not converged:
+            capped.append(j)
         row = np.concatenate(([1.0], best_point))
         stats = cm.stats_for_row(indices, row)
         tau = solve_threshold(stats, -1, float(alphas[j - 1]))
@@ -289,6 +286,9 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
         pf[j - 1] = gfun(tau, -1, stats)
         pd[j - 1] = gfun(tau, 1, stats)
 
+    if capped:
+        notes.append(f"coordinate ascent hit the {_MAX_SWEEPS}-sweep cap before "
+                     f"converging for nodes {', '.join(map(str, capped))}")
     cost = float(costs @ pf)
     feasible = budget is None or cost <= budget * (1 + 1e-9)
     if betas is not None:

@@ -3,10 +3,16 @@
 Closed-form route: decision variables that are linear in the local scores
 have, conditional on the hidden state vector, a Gaussian mixture law.
 `ComponentMoments` describes one node's mixture components by the score
-moments of every node, and `ComponentMoments.stats_for_row` is the single
-push-forward from a linear rule to that node's `ConditionalStats`.  The
-false-alarm / detection probabilities are then mixtures of Q-tails (`gfun`),
-and thresholds come from inverting that curve (`solve_threshold`).
+moments of every node, and `ComponentMoments.stats_for_rows` is the single
+push-forward from a batch of linear rules to their component means and
+stds (`stats_for_row` is its one-row case, giving a `ConditionalStats`).
+The false-alarm / detection probabilities are then mixtures of Q-tails
+(`mixture_tail`, and `gfun` for one `ConditionalStats`).  Thresholds come
+from inverting that curve with one solver, `solve_thresholds`: a
+safeguarded Newton iteration on a batch of mixtures, whose step uses the
+mixture pdf (the tail's closed-form derivative) and falls back to bisection
+of a per-row bracket; it raises rather than return an unconverged value.
+`solve_threshold` is its one-row call.
 
 Empirical route: `monte_carlo_perf` tallies error rates from simulated
 campaigns, and `gaussianity_check` quantifies how far conditioned samples
@@ -20,11 +26,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special as _sp
 
 from .sensing import q_function
 
-_BISECT_TOL = 1e-9
-_MAX_BISECT = 400
+_THRESHOLD_TOL = 1e-9
+_MAX_NEWTON = 100
+_MAX_GROWTH = 200
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +92,45 @@ class ComponentMoments:
     means: dict
     variances: dict
 
-    def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
-        """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
+    def stats_for_rows(self, indices, rows, offset: float = 0.0) -> dict:
+        """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[i]} (+offset).
+
+        `rows` is (G, d) for d = len(indices).  Returns, for v in {-1, +1},
+        (weights (M,), means (G, M), stds (G, M)).  Each entry is a product
+        summed along its own row, so row g does not depend on the other rows
+        of the batch.
+        """
         idx = np.asarray(indices, dtype=np.intp) - 1
-        w = np.asarray(row_weights, dtype=float)
-        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
+        r = np.atleast_2d(np.asarray(rows, dtype=float))[:, None, :]
+        out = {}
         for v in (-1, 1):
             m = self.means[v][:, idx]
             s2 = self.variances[v][:, idx]
-            if np.any(np.isnan(m)) or np.any(np.isnan(s2)):
+            if np.isnan(m).any() or np.isnan(s2).any():
                 raise ValueError(
                     f"component moments for node {self.node} do not cover "
                     f"all requested nodes")
-            weights_by_v[v] = self.weights[v]
-            means_by_v[v] = m @ w + offset
-            stds_by_v[v] = np.sqrt(s2 @ (w ** 2))
-        return ConditionalStats(self.node, weights_by_v, means_by_v, stds_by_v)
+            out[v] = (self.weights[v], (r * m).sum(axis=-1) + offset,
+                      np.sqrt((r * r * s2).sum(axis=-1)))
+        return out
+
+    def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
+        """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
+        mix = self.stats_for_rows(indices, np.asarray(row_weights, dtype=float)[None],
+                                  offset)
+        return ConditionalStats(self.node, {v: mix[v][0] for v in (-1, 1)},
+                                {v: mix[v][1][0] for v in (-1, 1)},
+                                {v: mix[v][2][0] for v in (-1, 1)})
+
+
+def mixture_tail(weights, means, stds, tau):
+    """sum_m weights[m] Q((tau - means[..., m]) / stds[..., m]).
+
+    `tau` (...) pairs with components `means`/`stds` of shape (..., M) or
+    (M,); each value is summed along its own row of components.
+    """
+    t = np.asarray(tau, dtype=float)
+    return (q_function((t[..., None] - means) / stds) * weights).sum(axis=-1)
 
 
 def gfun(tau, v: int, stats: ConditionalStats):
@@ -107,56 +139,84 @@ def gfun(tau, v: int, stats: ConditionalStats):
     Strictly decreasing and continuous in tau, with limits 1 and 0, so a
     root of gfun(tau) = p exists for any p in (0, 1).
     """
-    w = stats.weights[v]
-    m = stats.means[v]
-    s = stats.stds[v]
-    t = np.asarray(tau, dtype=float)
-    tails = q_function((t[..., None] - m) / s)
-    out = tails @ w
-    return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
+    out = mixture_tail(stats.weights[v], stats.means[v], stats.stds[v], tau)
+    return float(out) if np.ndim(tau) == 0 else out
 
 
-def solve_threshold(stats: ConditionalStats, v: int, target: float,
-                    tol: float = _BISECT_TOL) -> float:
-    """Invert the tail mixture: find tau with gfun(tau, v) = target.
+def solve_thresholds(weights, means, stds, target: float,
+                     tol: float = _THRESHOLD_TOL) -> np.ndarray:
+    """Invert G tail mixtures at once: tau (G,) with
+    mixture_tail(weights, means[g], stds[g], tau[g]) = target.
 
-    Bisection with geometric bracket growth; terminates when the mixture
-    value is within `tol` of the target.
+    `weights` is (M,), `means` and `stds` are (G, M).  Each row starts from
+    the threshold of its moment-matched Gaussian and takes Newton steps on
+    the tail, whose derivative is minus the mixture pdf.  A per-row bracket
+    [lo, hi] (grown geometrically from the component range until it
+    straddles the target) shrinks with every evaluation, and a Newton step
+    that leaves it is replaced by the bracket midpoint.  A row is done when
+    its tail is within `tol` of the target; rows are solved independently,
+    so a row's result does not depend on the rest of the batch.  Raises
+    RuntimeError when a row cannot be bracketed or is still short of `tol`
+    after `_MAX_NEWTON` evaluations.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target probability must be in (0, 1)")
-    m = stats.means[v]
-    s = stats.stds[v]
-    span = float(np.max(s)) * 8.0 + 1.0
-    lo = float(np.min(m)) - span
-    hi = float(np.max(m)) + span
-    # grow the bracket until it straddles the target (gfun is decreasing)
-    for _ in range(200):
-        if gfun(lo, v, stats) >= target:
+    w = np.asarray(weights, dtype=float)
+    m = np.asarray(means, dtype=float)
+    s = np.asarray(stds, dtype=float)
+    if m.ndim != 2 or m.shape != s.shape or w.shape != m.shape[1:] or w.size == 0:
+        raise ValueError("need (M,) weights and matching (G, M) means and stds")
+    if not (np.isfinite(m).all() and np.isfinite(s).all() and (s > 0).all()):
+        raise ValueError("component moments must be finite with positive spread")
+
+    # grow both ends of each bracket outward until it straddles the target
+    # (the tail decreases); the sign of `span` points each end outward
+    span = np.outer(8.0 * s.max(axis=1) + 1.0, [-1.0, 1.0])
+    ends = np.stack((m.min(axis=1), m.max(axis=1)), axis=1) + span
+    for _ in range(_MAX_GROWTH):
+        short = (mixture_tail(w, m[:, None], s[:, None], ends) - target) * span > 0
+        if not short.any():
             break
-        lo -= span
-        span *= 2.0
+        ends[short] += span[short]
+        span[short] *= 2.0
     else:
-        raise RuntimeError("failed to bracket threshold from below")
-    span = float(np.max(s)) * 8.0 + 1.0
-    for _ in range(200):
-        if gfun(hi, v, stats) <= target:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise RuntimeError("failed to bracket threshold from above")
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        val = gfun(mid, v, stats)
-        if abs(val - target) <= tol:
-            return mid
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+        raise RuntimeError("failed to bracket threshold")
+    lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+
+    mu = (m * w).sum(axis=1)
+    sd = np.sqrt((w * (s * s + (m - mu[:, None]) ** 2)).sum(axis=1))
+    tau = np.clip(mu - sd * _sp.ndtri(target), lo, hi)
+    act = np.arange(m.shape[0])
+    for _ in range(_MAX_NEWTON):
+        z = (tau[act, None] - m[act]) / s[act]
+        err = (q_function(z) * w).sum(axis=1) - target
+        live = np.abs(err) > tol
+        if not live.any():
+            return tau
+        act, z, err = act[live], z[live], err[live]
+        t = tau[act]
+        above = err > 0           # tail above target: the root lies right of t
+        lo[act] = np.where(above, t, lo[act])
+        hi[act] = np.where(above, hi[act], t)
+        pdf = (np.exp(-0.5 * z * z) / s[act] * w).sum(axis=1) * _INV_SQRT_2PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t + err / pdf
+        inside = (step > lo[act]) & (step < hi[act])
+        tau[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
+    raise RuntimeError(
+        f"threshold solver missed tol={tol:g} on {act.size} of {m.shape[0]} "
+        f"rows after {_MAX_NEWTON} iterations")
+
+
+def solve_threshold(stats: ConditionalStats, v: int, target: float,
+                    tol: float = _THRESHOLD_TOL) -> float:
+    """Invert the tail mixture: find tau with gfun(tau, v) = target.
+
+    The one-row call of `solve_thresholds`; the result is within `tol` of
+    the target in the tail-probability domain.
+    """
+    return float(solve_thresholds(stats.weights[v], stats.means[v][None],
+                                  stats.stds[v][None], target, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +289,6 @@ def monte_carlo_perf(lam, truth, thresholds, meta: dict | None = None) -> PerfRe
     return PerfReport(nodes, pf_hat, pd_hat, se_pf, se_pd,
                       n_off.astype(np.int64), n_on.astype(np.int64),
                       np.array(tau, dtype=float), meta or {})
-
-
-def empirical_gfun(lam_samples, tau) -> tuple:
-    """(rate, stderr) of P{lambda > tau} from raw samples of one node."""
-    s = np.asarray(lam_samples, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("need a nonempty 1-d sample vector")
-    p = float(np.mean(s > tau))
-    return p, math.sqrt(p * (1 - p) / s.size)
 
 
 @dataclass(frozen=True)

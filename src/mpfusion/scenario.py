@@ -18,8 +18,9 @@ reproducible from (seed, index) regardless of what else ran first.
 
 The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (exact per-pattern components of every node) ->
-`performance.ComponentMoments.stats_for_row`, the single push-forward;
-`stats_for_weights` applies it to a whole weight matrix.
+`performance.ComponentMoments.stats_for_row`, the one-row case of the single
+push-forward `stats_for_rows`; `stats_for_weights` applies it to a whole
+weight matrix.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mpfusion import rng
+from mpfusion import optimizer, rng
 from mpfusion.graph import chain, star, uniform_params
 from mpfusion.optimizer import (
     BlindResult,
@@ -226,6 +226,14 @@ def test_optimize_p1_budget_scaling_note():
     p1 = optimize_p1(moments, top, alphas=0.1, budget=0.25, seed=3)
     assert any("budget" in note for note in p1.notes)
     assert float(np.sum(p1.pf)) <= 0.25 * (1 + 1e-6)
+
+
+def test_optimize_p1_names_rows_stopped_at_sweep_cap(monkeypatch):
+    monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
+    cfg = ScenarioConfig(rho_db=-8.0)
+    moments = moments_from_scenario(scenario_stats(cfg))
+    p1 = optimize_p1(moments, cfg.topology(), alphas=0.1, seed=3)
+    assert any("sweep cap" in note for note in p1.notes)
 
 
 def test_optimize_p1_detection_floor_flag():

@@ -2,7 +2,8 @@
 
 `gfun` is cross-checked against a hand-rolled mixture of erfc tails and
 against Monte Carlo sampling of the same mixture; `solve_threshold` by
-round-tripping.  The KS check is calibrated on synthetic draws where the
+round-tripping, and the batched push-forward and threshold solver against
+their one-row calls on random mixtures.  The KS check is calibrated on synthetic draws where the
 verdict is known.
 """
 
@@ -10,16 +11,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mpfusion import rng
+from mpfusion import performance, rng
 from mpfusion.performance import (
+    ComponentMoments,
     ConditionalStats,
     GaussianityReport,
-    empirical_gfun,
     gaussianity_check,
     gfun,
     monte_carlo_perf,
     solve_threshold,
+    solve_thresholds,
 )
 
 
@@ -99,6 +104,51 @@ def test_solve_threshold_rejects_degenerate_targets():
             solve_threshold(stats, -1, bad)
 
 
+def test_solve_threshold_raises_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(performance, "_MAX_NEWTON", 1)
+    stats = _mix([0.2, 0.5, 0.3], [-2.0, 0.0, 4.0], [0.3, 1.0, 2.0])
+    with pytest.raises(RuntimeError):
+        solve_threshold(stats, -1, 0.1)
+
+
+def test_solve_threshold_raises_when_it_cannot_bracket(monkeypatch):
+    monkeypatch.setattr(performance, "_MAX_GROWTH", 1)
+    stats = _mix([1.0], [0.0], [1.0])
+    with pytest.raises(RuntimeError):
+        solve_threshold(stats, -1, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), comps=st.integers(1, 8), rows=st.integers(1, 30),
+       dim=st.integers(1, 5), target=st.floats(1e-4, 1 - 1e-4))
+def test_batched_push_forward_and_solver_match_one_row(data, comps, rows, dim, target):
+    def draw(shape, lo, hi):
+        return data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    def distribution():
+        w = draw(comps, 0.01, 1.0)
+        return w / w.sum()
+
+    nodes = dim + 1                          # one node outside the rule
+    cm = ComponentMoments(
+        1,
+        {v: distribution() for v in (-1, 1)},
+        {v: draw((comps, nodes), -4.0, 4.0) for v in (-1, 1)},
+        {v: draw((comps, nodes), 0.01, 4.0) for v in (-1, 1)})
+    batch = draw((rows, dim), -2.0, 2.0)
+    batch[:, 0] = 1.0                        # own weight one, as in the designs
+    indices = np.arange(1, dim + 1)
+    mix = cm.stats_for_rows(indices, batch)
+    taus = solve_thresholds(*mix[-1], target)
+    for g in range(rows):
+        one = cm.stats_for_row(indices, batch[g])
+        for v in (-1, 1):
+            np.testing.assert_array_max_ulp(mix[v][1][g], one.means[v], maxulp=4)
+            np.testing.assert_array_max_ulp(mix[v][2][g], one.stds[v], maxulp=4)
+        assert abs(gfun(taus[g], -1, one) - target) <= 1e-9
+        assert taus[g] == solve_threshold(one, -1, target)
+
+
 def test_conditional_stats_validation():
     with pytest.raises(ValueError):
         ConditionalStats(1, {-1: np.array([0.5, 0.4]), 1: np.array([1.0])},
@@ -134,13 +184,6 @@ def test_monte_carlo_perf_stderr():
     rep = monte_carlo_perf(lam, truth, thresholds=0.5)
     assert rep.pd[0] == pytest.approx(0.25)
     assert rep.stderr_pd[0] == pytest.approx(math.sqrt(0.25 * 0.75 / 400))
-
-
-def test_empirical_gfun_counts():
-    samples = np.array([0.0, 1.0, 2.0, 3.0])
-    p, se = empirical_gfun(samples, 1.5)
-    assert p == 0.5
-    assert se == pytest.approx(math.sqrt(0.25 / 4))
 
 
 def test_perf_report_to_dict_nan_becomes_none():
