@@ -5,7 +5,7 @@ The per-cell SNR spread is tied to the grid point (delta = factor * rho),
 which keeps the relative link asymmetry constant as the operating point
 slides.  Results land in a CSV next to a printed summary table.
 
-    python3 scripts/sweep_presets.py --threads 4 --out out/sweep
+    python3 scripts/sweep_presets.py --out out/sweep
 """
 
 import argparse
@@ -34,7 +34,6 @@ def main():
     ap.add_argument("--delta-factor", type=float, default=0.1)
     ap.add_argument("--trials", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=12345)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="out/sweep")
     args = ap.parse_args()
 
@@ -44,8 +43,7 @@ def main():
         results = pipeline.sweep_rho(
             cfg, args.methods, args.grid, args.seed,
             delta_rule="proportional", proportional_factor=args.delta_factor,
-            threads=args.threads, calibration_slots=args.trials,
-            eval_slots=args.trials)
+            calibration_slots=args.trials, eval_slots=args.trials)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")

@@ -8,9 +8,9 @@
                               from moment-matched normals
     mpfusion optimize         linear fusion designs (per-node / network / blind)
 
-Every subcommand takes --config (JSON run configuration), --seed, --out,
---trials and --threads; command-line values override the config file.  All
-JSON reports carry a top-level spec_version; CSV numbers use 9 significant
+Every subcommand takes --config (JSON run configuration), --seed, --out
+and --trials; command-line values override the config file.  All JSON
+reports carry a top-level spec_version; CSV numbers use 9 significant
 digits.
 """
 
@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,18 +80,10 @@ def _write_csv(path, header, rows) -> None:
 def _load_run(args) -> config_mod.RunConfig:
     cfg = config_mod.load(args.config) if args.config else config_mod.RunConfig()
     if args.seed is not None:
-        cfg = config_mod.RunConfig(cfg.scenario, cfg.detector, cfg.evaluation,
-                                   int(args.seed))
-    ev = cfg.evaluation
-    updates = {}
+        cfg = replace(cfg, seed=int(args.seed))
     if args.trials is not None:
-        updates["trials"] = int(args.trials)
-    if args.threads is not None:
-        updates["threads"] = int(args.threads)
-    if updates:
-        from dataclasses import replace
-        ev = replace(ev, **updates)
-        cfg = config_mod.RunConfig(cfg.scenario, cfg.detector, ev, cfg.seed)
+        cfg = replace(cfg, evaluation=replace(cfg.evaluation,
+                                              trials=int(args.trials)))
     return cfg
 
 
@@ -107,8 +100,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory (default ./out)")
     sub.add_argument("--trials", type=int, default=None,
                      help="evaluation slots / sample count (overrides config)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for sweeps (overrides config)")
 
 
 def _result_rows(results) -> list:
@@ -164,7 +155,6 @@ def cmd_sweep_snr(args) -> int:
         cfg.scenario, cfg.evaluation.methods, grid, cfg.seed,
         delta_rule=cfg.evaluation.delta_rule,
         proportional_factor=cfg.evaluation.proportional_factor,
-        threads=cfg.evaluation.threads,
         iterations=cfg.detector.iterations,
         training_labels=cfg.detector.training_labels,
         training_slots=cfg.evaluation.training_slots,

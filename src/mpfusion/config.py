@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from .scenario import ScenarioConfig
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "2.0"
 
 
 class ConfigError(ValueError):
@@ -36,7 +36,6 @@ class DetectorBlock:
     """Engine-side knobs shared by all presets in a run."""
 
     iterations: int | None = None        # None -> node_count - 1
-    convention: str = "paper"            # quadratic-relaxation flavour
     coupling_convention: str = "merged"
     training_labels: str = "local"       # or "genie"
     majority_rounds: int = 3
@@ -44,8 +43,6 @@ class DetectorBlock:
     def __post_init__(self) -> None:
         if self.iterations is not None and self.iterations < 1:
             raise ConfigError("$.detector.iterations must be >= 1")
-        if self.convention not in ("paper", "exact"):
-            raise ConfigError("$.detector.convention must be 'paper' or 'exact'")
         if self.coupling_convention not in ("merged", "raw"):
             raise ConfigError(
                 "$.detector.coupling_convention must be 'merged' or 'raw'")
@@ -67,7 +64,6 @@ class EvaluationBlock:
     rho_grid: tuple | None = None
     delta_rule: str = "fixed"
     proportional_factor: float = 0.1
-    threads: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -84,8 +80,6 @@ class EvaluationBlock:
         if self.delta_rule not in ("fixed", "proportional"):
             raise ConfigError(
                 "$.evaluation.delta_rule must be 'fixed' or 'proportional'")
-        if self.threads < 1:
-            raise ConfigError("$.evaluation.threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,6 @@ def to_dict(cfg: RunConfig) -> dict:
         },
         "detector": {
             "iterations": cfg.detector.iterations,
-            "convention": cfg.detector.convention,
             "coupling_convention": cfg.detector.coupling_convention,
             "training_labels": cfg.detector.training_labels,
             "majority_rounds": cfg.detector.majority_rounds,
@@ -182,7 +175,6 @@ def to_dict(cfg: RunConfig) -> dict:
                          else list(cfg.evaluation.rho_grid)),
             "delta_rule": cfg.evaluation.delta_rule,
             "proportional_factor": cfg.evaluation.proportional_factor,
-            "threads": cfg.evaluation.threads,
         },
         "seed": cfg.seed,
     }

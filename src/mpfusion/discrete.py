@@ -18,18 +18,20 @@ maxes, which collapses to clamping t at +-Je; that closed form is what makes
 the decision variables affine in the local statistics wherever no clamp is
 active.  Everything broadcasts: gamma may be a vector over nodes or a
 (node, trial) matrix, and messages follow suit, so a whole Monte Carlo batch
-runs through one set of updates.
+runs through one set of updates.  `run_messages` is the one flood loop for
+all three algorithms; only the per-edge transfer and its gain (Je or c)
+differ between them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, max_degree, neighbors, neighbors_except
+from .graph import MrfParams, Topology, max_degree
 
 MAX_PRODUCT = "max_product"
 SUM_PRODUCT = "sum_product"
@@ -58,20 +60,6 @@ def coefficient_from_coupling(j_eff):
     return float(out) if out.ndim == 0 else out
 
 
-def logsumexp_max_gap(values):
-    """(log-sum-exp, max, their gap) for a nonempty vector.
-
-    The gap is the error of the max approximation; it always lies in
-    [0, ln n] for n values.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("need at least one value")
-    exact = float(np.logaddexp.reduce(v.ravel()))
-    approx = float(np.max(v))
-    return exact, approx, exact - approx
-
-
 @dataclass(frozen=True)
 class MessageState:
     """Messages after `iteration` flooding rounds of one algorithm."""
@@ -79,15 +67,6 @@ class MessageState:
     algorithm: str
     iteration: int
     delta: Dict[DirectedEdge, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in _ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-
-
-def init_messages(top: Topology, algorithm: str) -> MessageState:
-    """All-zero messages (the uninformative fixed start)."""
-    return MessageState(algorithm, 0, {e: 0.0 for e in top.directed_edges()})
 
 
 def _gamma_rows(top: Topology, gamma) -> np.ndarray:
@@ -98,61 +77,6 @@ def _gamma_rows(top: Topology, gamma) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite local statistics")
     return g
-
-
-def _pre_messages(state: MessageState, top: Topology, gamma: np.ndarray):
-    """t_{k->j} = gamma_k + incoming deltas from N(k) minus j, per edge."""
-    totals = {}
-    for (k, j) in top.directed_edges():
-        t = gamma[k - 1]
-        for n in neighbors_except(top, k, j):
-            t = t + state.delta[(n, k)]
-        totals[(k, j)] = t
-    return totals
-
-
-def sumprod_step(state: MessageState, top: Topology, params: MrfParams, gamma) -> MessageState:
-    """One flooding round of exact two-state sum-product."""
-    _require(state, SUM_PRODUCT)
-    g = _gamma_rows(top, gamma)
-    pre = _pre_messages(state, top, g)
-    delta = {
-        (k, j): s_transfer(params.effective_coupling(k, j), pre[(k, j)])
-        for (k, j) in top.directed_edges()
-    }
-    return replace(state, iteration=state.iteration + 1, delta=delta)
-
-
-def maxprod_step(state: MessageState, top: Topology, params: MrfParams, gamma) -> MessageState:
-    """One flooding round of max-product (two-point maximization per edge)."""
-    _require(state, MAX_PRODUCT)
-    g = _gamma_rows(top, gamma)
-    pre = _pre_messages(state, top, g)
-    delta = {}
-    for (k, j) in top.directed_edges():
-        je = params.effective_coupling(k, j)
-        t = pre[(k, j)]
-        # Two-point maximization in the gauge where the x_k = -1 branch
-        # carries no score: m(+1) = max(t + je, 0), m(-1) = max(t, je).
-        # Algebraically delta = clamp(t, +-je); this form is also, term for
-        # term, max(0, a+b) - max(a, b), i.e. the max-approximated smooth
-        # transfer, so the two routes agree to the last bit.
-        delta[(k, j)] = np.maximum(t + je, 0.0) - np.maximum(t, je)
-    return replace(state, iteration=state.iteration + 1, delta=delta)
-
-
-def linear_step(state: MessageState, top: Topology,
-                coefficients: Dict[DirectedEdge, float], gamma) -> MessageState:
-    """One flooding round of the linearized engine: delta' = c * t."""
-    _require(state, LINEARIZED)
-    g = _gamma_rows(top, gamma)
-    pre = _pre_messages(state, top, g)
-    delta = {}
-    for (k, j) in top.directed_edges():
-        if (k, j) not in coefficients:
-            raise ValueError(f"missing coefficient for directed edge {(k, j)}")
-        delta[(k, j)] = coefficients[(k, j)] * pre[(k, j)]
-    return replace(state, iteration=state.iteration + 1, delta=delta)
 
 
 def decision_variables(state: MessageState, top: Topology, gamma) -> np.ndarray:
@@ -180,20 +104,61 @@ def decide(lam, thresholds=0.0) -> np.ndarray:
 def run_messages(top: Topology, gamma, algorithm: str, iterations: int,
                  params: Optional[MrfParams] = None,
                  coefficients: Optional[Dict[DirectedEdge, float]] = None) -> MessageState:
-    """Run `iterations` flooding rounds from the zero start."""
+    """Run `iterations` flooding rounds from the all-zero start.
+
+    Max-product and sum-product need `params` (the per-edge gain is the
+    effective coupling); the linearized engine needs a coefficient for every
+    directed edge.  The feeder lists (n, k) for n in N(k) minus j are built
+    once per call, and each round sums t = gamma_k + delta_{n1->k} + ...
+    in ascending neighbour order.
+    """
+    if algorithm not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    state = init_messages(top, algorithm)
+    edges = top.directed_edges()
+    if algorithm == LINEARIZED:
+        if coefficients is None:
+            raise ValueError("linearized engine needs a coefficient map")
+        for e in edges:
+            if e not in coefficients:
+                raise ValueError(f"missing coefficient for directed edge {e}")
+        gains = {e: coefficients[e] for e in edges}
+        transfer = _linear_transfer
+    else:
+        if params is None:
+            raise ValueError(f"{algorithm} engine needs pairwise-field parameters")
+        gains = {e: params.effective_coupling(*e) for e in edges}
+        transfer = s_transfer if algorithm == SUM_PRODUCT else _clamp_transfer
+    g = _gamma_rows(top, gamma)
+    into = {k: [] for k in top.nodes}
+    for (n, k) in edges:            # sorted, so each list ascends in n
+        into[k].append((n, k))
+    plan = [(e, e[0] - 1, [f for f in into[e[0]] if f[0] != e[1]], gains[e])
+            for e in edges]
+    delta = {e: 0.0 for e in edges}
     for _ in range(iterations):
-        if algorithm == SUM_PRODUCT:
-            state = sumprod_step(state, top, _need_params(params), gamma)
-        elif algorithm == MAX_PRODUCT:
-            state = maxprod_step(state, top, _need_params(params), gamma)
-        else:
-            if coefficients is None:
-                raise ValueError("linearized engine needs a coefficient map")
-            state = linear_step(state, top, coefficients, gamma)
-    return state
+        nxt = {}
+        for e, row, feeders, gain in plan:
+            t = g[row]
+            for f in feeders:
+                t = t + delta[f]
+            nxt[e] = transfer(gain, t)
+        delta = nxt
+    return MessageState(algorithm, iterations, delta)
+
+
+def _clamp_transfer(je, t):
+    # Two-point maximization in the gauge where the x_k = -1 branch carries
+    # no score: m(+1) = max(t + je, 0), m(-1) = max(t, je).  Algebraically
+    # delta = clamp(t, +-je); this form is also, term for term,
+    # max(0, a+b) - max(a, b), i.e. the max-approximated smooth transfer, so
+    # the two routes agree to the last bit.
+    return np.maximum(t + je, 0.0) - np.maximum(t, je)
+
+
+def _linear_transfer(c, t):
+    return c * t
 
 
 def linearized_coefficients(params: MrfParams) -> Dict[DirectedEdge, float]:
@@ -209,19 +174,3 @@ def contraction_bound(top: Topology) -> float:
     any graph; infinite when the bound is vacuous (max degree at most 1)."""
     d = max_degree(top) if top.edges else 0
     return math.inf if d <= 1 else 1.0 / (d - 1)
-
-
-def violates_contraction(top: Topology, coefficients: Dict[DirectedEdge, float]) -> bool:
-    bound = contraction_bound(top)
-    return any(abs(c) >= bound for c in coefficients.values())
-
-
-def _require(state: MessageState, algorithm: str) -> None:
-    if state.algorithm != algorithm:
-        raise ValueError(f"state carries {state.algorithm!r} messages, not {algorithm!r}")
-
-
-def _need_params(params: Optional[MrfParams]) -> MrfParams:
-    if params is None:
-        raise ValueError("this engine needs pairwise-field parameters")
-    return params

@@ -26,7 +26,6 @@ output for the message-passing rules.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,31 +273,23 @@ def evaluate_cell(cfg: ScenarioConfig, methods, seed: int, *,
 
 def sweep_rho(cfg: ScenarioConfig, methods, rho_grid, seed: int, *,
               delta_rule: str = "fixed", proportional_factor: float = 0.1,
-              threads: int = 1, **cell_kwargs) -> list:
-    """Evaluate the presets across an SNR grid.
+              **cell_kwargs) -> list:
+    """Evaluate the presets across an SNR grid, one cell after another.
 
     delta_rule 'fixed' keeps the configured delta_rho; 'proportional' sets
-    delta_rho = proportional_factor * rho per cell.  Cells are independent
-    (separately keyed campaigns), so thread count cannot change results.
+    delta_rho = proportional_factor * rho per cell.  Cell i draws its
+    campaigns from streams keyed by its grid index, so each cell's results
+    equal `evaluate_cell(..., cell_index=i)` run on its own.
     """
     if delta_rule not in ("fixed", "proportional"):
         raise ValueError(f"unknown delta rule {delta_rule!r}")
-    cells = []
+    results = []
     for i, rho in enumerate(rho_grid):
         delta = (cfg.delta_rho_db if delta_rule == "fixed"
                  else proportional_factor * float(rho))
-        cells.append((i, with_rho(cfg, float(rho), delta)))
-
-    def work(item):
-        i, cell_cfg = item
-        return evaluate_cell(cell_cfg, methods, seed, cell_index=i, **cell_kwargs)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, cells))
-    else:
-        chunks = [work(item) for item in cells]
-    return [res for chunk in chunks for res in chunk]
+        results += evaluate_cell(with_rho(cfg, float(rho), delta), methods,
+                                 seed, cell_index=i, **cell_kwargs)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ for closed-form performance work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -121,43 +120,6 @@ def snr_to_energy(snr_db: float, noise_var: float, sample_count: int) -> float:
     _check_noise(noise_var)
     _check_samples(sample_count)
     return sample_count * noise_var * 10.0 ** (snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class SignalProfile:
-    """Per-node nominal signal energies plus the shared sensing constants."""
-
-    energies: tuple
-    noise_var: float = 1.0
-    sample_count: int = 100
-    far: float = 0.1
-
-    def __post_init__(self) -> None:
-        _check_noise(self.noise_var)
-        _check_samples(self.sample_count)
-        _check_far(self.far)
-        e = tuple(float(v) for v in self.energies)
-        if any(v < 0 or not np.isfinite(v) for v in e):
-            raise ValueError("node energies must be finite and nonnegative")
-        object.__setattr__(self, "energies", e)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.energies)
-
-    @property
-    def tau0(self) -> float:
-        return energy_threshold(self.noise_var, self.sample_count, self.far)
-
-    def amplitude(self, j: int) -> float:
-        """Constant per-sample amplitude carrying the node-j nominal energy."""
-        return float(np.sqrt(self.energies[j - 1] / self.sample_count))
-
-
-def profile_from_snr(snr_db, noise_var: float = 1.0, sample_count: int = 100,
-                     far: float = 0.1) -> SignalProfile:
-    energies = [snr_to_energy(s, noise_var, sample_count) for s in np.atleast_1d(snr_db)]
-    return SignalProfile(tuple(energies), noise_var, sample_count, far)
 
 
 def _check_noise(noise_var: float) -> None:

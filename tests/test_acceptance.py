@@ -327,7 +327,7 @@ def test_criterion_08_detection_ordering():
         results = pipeline.sweep_rho(
             BENCH, methods, grid, MASTER_SEED,
             delta_rule="proportional", proportional_factor=0.1,
-            threads=4, calibration_slots=20000, eval_slots=20000)
+            calibration_slots=20000, eval_slots=20000)
     elapsed = time.perf_counter() - t0
 
     pd_mean, se_mean = {}, {}

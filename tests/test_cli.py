@@ -39,9 +39,15 @@ def test_common_flags_parse_everywhere():
     for name in ("simulate", "sweep-snr", "verify-linearity",
                  "gaussianity", "optimize"):
         args = parser.parse_args([name, "--seed", "7", "--trials", "10",
-                                  "--threads", "2", "--out", "x"])
-        assert args.seed == 7 and args.trials == 10
-        assert args.threads == 2 and args.out == "x"
+                                  "--out", "x"])
+        assert args.seed == 7 and args.trials == 10 and args.out == "x"
+
+
+def test_threads_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep-snr", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits():
@@ -84,7 +90,7 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
 
 
 def test_sweep_snr_covers_grid(tmp_path):
-    cfg = _fast_config(tmp_path, rho_grid=[-6.0, -3.0], threads=2)
+    cfg = _fast_config(tmp_path, rho_grid=[-6.0, -3.0])
     out = tmp_path / "sweep"
     rc = main(["sweep-snr", "--config", cfg, "--out", str(out)])
     assert rc == 0

@@ -19,7 +19,7 @@ from mpfusion.scenario import ScenarioConfig
 
 
 def test_format_version_pinned():
-    assert FORMAT_VERSION == "1.0"
+    assert FORMAT_VERSION == "2.0"
 
 
 def test_default_round_trip():
@@ -34,11 +34,10 @@ def test_custom_round_trip():
                                 sensing_mode="matched",
                                 on_prob=(0.4, 0.4), coupling=0.25,
                                 initial_activity=(1, 0)),
-        detector=DetectorBlock(iterations=2, convention="exact",
-                               coupling_convention="raw"),
+        detector=DetectorBlock(iterations=2, coupling_convention="raw"),
         evaluation=EvaluationBlock(methods=("local", "mp0.1"),
                                    trials=500, rho_grid=(-8.0, -4.0),
-                                   delta_rule="proportional", threads=2),
+                                   delta_rule="proportional"),
         seed=777,
     )
     d = to_dict(cfg)
@@ -55,6 +54,8 @@ def test_empty_dict_gives_defaults():
     ({"detector": {"iters": 3}}, "'iters' at $.detector"),
     ({"scenario": {"snr": -5}}, "'snr' at $.scenario"),
     ({"evaluation": {"budget": 1}}, "'budget' at $.evaluation"),
+    ({"evaluation": {"threads": 2}}, "'threads' at $.evaluation"),
+    ({"detector": {"convention": "exact"}}, "'convention' at $.detector"),
 ])
 def test_unknown_keys_name_their_path(doc, path_bit):
     with pytest.raises(ConfigError, match="unknown key"):
@@ -95,8 +96,6 @@ def test_detector_block_validation():
     with pytest.raises(ConfigError):
         DetectorBlock(iterations=0)
     with pytest.raises(ConfigError):
-        DetectorBlock(convention="loose")
-    with pytest.raises(ConfigError):
         DetectorBlock(coupling_convention="double")
     with pytest.raises(ConfigError):
         DetectorBlock(training_labels="oracle")
@@ -109,8 +108,6 @@ def test_evaluation_block_validation():
         EvaluationBlock(trials=0)
     with pytest.raises(ConfigError):
         EvaluationBlock(delta_rule="creeping")
-    with pytest.raises(ConfigError):
-        EvaluationBlock(threads=0)
     blk = EvaluationBlock(rho_grid=[-8, -4])
     assert blk.rho_grid == (-8.0, -4.0)
 

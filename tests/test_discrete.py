@@ -24,14 +24,9 @@ from mpfusion.discrete import (
     contraction_bound,
     decide,
     decision_variables,
-    init_messages,
     linearized_coefficients,
-    logsumexp_max_gap,
-    maxprod_step,
     run_messages,
     s_transfer,
-    sumprod_step,
-    violates_contraction,
 )
 from mpfusion.graph import Topology, chain, star, uniform_params
 from mpfusion.optimizer import ContractionWarning, egc_weights
@@ -98,13 +93,6 @@ def test_coefficient_is_slope_at_zero():
             math.tanh(je / 2.0), abs=1e-15)
 
 
-def test_logsumexp_max_gap_range():
-    exact, approx, gap = logsumexp_max_gap([0.3, -1.0, 0.3])
-    assert approx == 0.3
-    assert 0.0 <= gap <= math.log(3)
-    assert exact == pytest.approx(np.logaddexp.reduce([0.3, -1.0, 0.3]))
-
-
 # ------------------------------------------------------- single-edge bridge
 
 
@@ -112,8 +100,8 @@ def test_single_edge_maxprod_is_clamp():
     top = chain(2)
     params = uniform_params(top, 0.6)
     for t in np.linspace(-2.0, 2.0, 41):
-        state = maxprod_step(init_messages(top, MAX_PRODUCT), top, params,
-                             np.array([t, 0.0]))
+        state = run_messages(top, np.array([t, 0.0]), MAX_PRODUCT, 1,
+                             params=params)
         want = min(max(t, -0.6), 0.6)
         assert state.delta[(1, 2)] == pytest.approx(want, abs=1e-15)
 
@@ -141,8 +129,8 @@ def test_max_approximated_sumprod_equals_maxprod_bitwise():
         je = gen.uniform(-3, 3)
         t = gen.uniform(-4, 4)
         params = uniform_params(top, je)
-        state = maxprod_step(init_messages(top, MAX_PRODUCT), top, params,
-                             np.array([t, 0.0]))
+        state = run_messages(top, np.array([t, 0.0]), MAX_PRODUCT, 1,
+                             params=params)
         approx = max(0.0, je + t) - max(je, t)
         assert state.delta[(1, 2)] == approx  # exact, no tolerance
 
@@ -243,9 +231,11 @@ def test_contraction_bound_and_violations():
     assert contraction_bound(star(5)) == pytest.approx(1.0 / 3.0)
     assert contraction_bound(chain(1)) == math.inf
     top = star(5)
-    assert not violates_contraction(top, egc_weights(top, 0.33))
+    bound = contraction_bound(top)
+    assert all(abs(c) < bound for c in egc_weights(top, 0.33).values())
     with pytest.warns(ContractionWarning):
-        assert violates_contraction(top, egc_weights(top, 0.34))
+        coeffs = egc_weights(top, 0.34)
+    assert all(abs(c) >= bound for c in coeffs.values())
 
 
 # ------------------------------------------------------------------ decide
@@ -269,8 +259,16 @@ def test_decide_infinite_thresholds():
     np.testing.assert_array_equal(decide(lam, np.inf), [-1, -1])
 
 
-def test_algorithm_state_mismatch_rejected():
-    top = chain(2)
-    state = init_messages(top, SUM_PRODUCT)
+@pytest.mark.parametrize("algorithm,iterations,kw", [
+    ("belief_propagation", 1, {"params": uniform_params(chain(3), 0.5)}),
+    (MAX_PRODUCT, 1, {}),
+    (SUM_PRODUCT, 1, {}),
+    (LINEARIZED, 1, {"coefficients": {e: 0.5 for e in chain(3).directed_edges()
+                                      if e != (2, 3)}}),
+    (MAX_PRODUCT, -1, {"params": uniform_params(chain(3), 0.5)}),
+], ids=["unknown-algorithm", "maxprod-no-params", "sumprod-no-params",
+        "coefficient-missing-edge", "negative-iterations"])
+def test_run_messages_rejects_bad_requests(algorithm, iterations, kw):
+    top = chain(3)
     with pytest.raises(ValueError):
-        maxprod_step(state, top, uniform_params(top, 0.1), np.zeros(2))
+        run_messages(top, np.zeros(3), algorithm, iterations, **kw)

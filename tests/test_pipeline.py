@@ -1,4 +1,4 @@
-"""End-to-end evaluation cells: preset parsing, calibration, thread safety."""
+"""End-to-end evaluation cells: preset parsing, calibration, cell independence."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from mpfusion.pipeline import (
     parse_method,
     sweep_rho,
 )
-from mpfusion.scenario import ScenarioConfig
+from mpfusion.scenario import ScenarioConfig, with_rho
 
 
 def _small_cfg(**kw):
@@ -135,21 +135,25 @@ def test_sweep_rejects_unknown_delta_rule():
         sweep_rho(cfg, ["local"], [-5.0], seed=1, delta_rule="sliding")
 
 
-def test_threads_do_not_change_results():
+def test_sweep_cells_equal_their_keyed_evaluate_cell():
+    # each cell draws from streams keyed by its grid index, so running it
+    # alone gives the same bits; a parallel sweep would rely on this
     cfg = _small_cfg()
     kw = dict(training_slots=400, calibration_slots=1500, eval_slots=1500)
-    serial = sweep_rho(cfg, ["local", "mp0.1"], [-8.0, -5.0, -2.0], seed=27,
-                       threads=1, **kw)
-    parallel = sweep_rho(cfg, ["local", "mp0.1"], [-8.0, -5.0, -2.0], seed=27,
-                         threads=4, **kw)
-    assert len(serial) == len(parallel) == 6
-    for a, b in zip(serial, parallel):
-        assert a.label == b.label and a.rho_db == b.rho_db
-        np.testing.assert_array_equal(
-            np.asarray(a.report.pd), np.asarray(b.report.pd))
-        np.testing.assert_array_equal(
-            np.asarray(a.report.pf), np.asarray(b.report.pf))
-        np.testing.assert_allclose(a.thresholds, b.thresholds, atol=0)
+    methods, grid = ["local", "mp0.1"], [-8.0, -5.0, -2.0]
+    swept = sweep_rho(cfg, methods, grid, seed=27, delta_rule="proportional",
+                      proportional_factor=0.1, **kw)
+    assert len(swept) == 6
+    for i, rho in enumerate(grid):
+        alone = evaluate_cell(with_rho(cfg, rho, 0.1 * rho), methods, seed=27,
+                              cell_index=i, **kw)
+        for a, b in zip(swept[2 * i:2 * i + 2], alone):
+            assert a.label == b.label and a.rho_db == b.rho_db == rho
+            np.testing.assert_array_equal(a.thresholds, b.thresholds)
+            np.testing.assert_array_equal(
+                np.asarray(a.report.pf), np.asarray(b.report.pf))
+            np.testing.assert_array_equal(
+                np.asarray(a.report.pd), np.asarray(b.report.pd))
 
 
 def test_same_seed_same_cell_reproduces():

@@ -12,14 +12,12 @@ import pytest
 
 from mpfusion import rng
 from mpfusion.sensing import (
-    SignalProfile,
     energy_moments,
     energy_threshold,
     gen_observations,
     llr_energy,
     llr_matched,
     matched_moments,
-    profile_from_snr,
     q_function,
     q_inverse,
     snr_to_energy,
@@ -120,21 +118,3 @@ def test_gen_observations_moments():
     assert y.shape == (2000, 32)
     assert y.mean() == pytest.approx(1.5, abs=0.01)
     assert y.var() == pytest.approx(0.25, abs=0.01)
-
-
-def test_profile_amplitude_energy_round_trip():
-    prof = profile_from_snr([-5.0, -6.0, -4.0], sample_count=100)
-    assert prof.node_count == 3
-    for j in range(1, 4):
-        assert prof.amplitude(j) ** 2 * prof.sample_count == pytest.approx(
-            prof.energies[j - 1])
-
-
-def test_profile_rejects_negative_energy():
-    with pytest.raises(ValueError):
-        SignalProfile(energies=(-1.0,))
-
-
-def test_profile_rejects_bad_far():
-    with pytest.raises(ValueError):
-        SignalProfile(energies=(1.0,), far=1.0)
