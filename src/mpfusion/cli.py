@@ -191,7 +191,7 @@ def cmd_verify_linearity(args) -> int:
     draw = rng.stream(cfg.seed, rng.COUPLING_DRAW)
     scale = 0.05 * float(np.min(energies))
     couplings = {e: float(draw.uniform(-scale, scale)) for e in top.edges}
-    params = MrfParams(top, couplings, convention=cfg.detector.coupling_convention)
+    params = MrfParams(top, couplings)
 
     payload = {"command": "verify-linearity",
                "config": config_mod.to_dict(cfg),
@@ -295,7 +295,6 @@ def cmd_optimize(args) -> int:
         camp = scenario.run_campaign(scn, cfg.evaluation.calibration_slots,
                                      cfg.seed, index=1)
         blind = optimizer.blind_adapt(camp.gamma, top, scn.far,
-                                      rounds=cfg.detector.majority_rounds,
                                       truth=camp.x, seed=cfg.seed)
         payload["blind"] = {
             "label_accuracy_initial": blind.initial_accuracy,

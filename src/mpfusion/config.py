@@ -2,7 +2,11 @@
 
 Unknown keys are rejected with the offending path (e.g. "$.detector.iters")
 rather than silently ignored — a typo in a config file should fail loudly,
-not run a subtly different experiment.  `to_dict`/`from_dict` round-trip.
+not run a subtly different experiment.  The same check retires keys: a
+config written for an older FORMAT_VERSION fails on the first key that no
+longer exists, with no translation shim.  Scenario errors, including a bad
+edge list, surface at load time under "$.scenario".  `to_dict`/`from_dict`
+round-trip.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from .scenario import ScenarioConfig
 
-FORMAT_VERSION = "2.0"
+FORMAT_VERSION = "3.0"
 
 
 class ConfigError(ValueError):
@@ -36,21 +40,14 @@ class DetectorBlock:
     """Engine-side knobs shared by all presets in a run."""
 
     iterations: int | None = None        # None -> node_count - 1
-    coupling_convention: str = "merged"
     training_labels: str = "local"       # or "genie"
-    majority_rounds: int = 3
 
     def __post_init__(self) -> None:
         if self.iterations is not None and self.iterations < 1:
             raise ConfigError("$.detector.iterations must be >= 1")
-        if self.coupling_convention not in ("merged", "raw"):
-            raise ConfigError(
-                "$.detector.coupling_convention must be 'merged' or 'raw'")
         if self.training_labels not in ("local", "genie"):
             raise ConfigError(
                 "$.detector.training_labels must be 'local' or 'genie'")
-        if self.majority_rounds < 0:
-            raise ConfigError("$.detector.majority_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,7 @@ def to_dict(cfg: RunConfig) -> dict:
         },
         "detector": {
             "iterations": cfg.detector.iterations,
-            "coupling_convention": cfg.detector.coupling_convention,
             "training_labels": cfg.detector.training_labels,
-            "majority_rounds": cfg.detector.majority_rounds,
         },
         "evaluation": {
             "methods": list(cfg.evaluation.methods),

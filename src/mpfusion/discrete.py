@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, max_degree
+from .graph import MrfParams, Topology, feeder_edges, max_degree
 
 MAX_PRODUCT = "max_product"
 SUM_PRODUCT = "sum_product"
@@ -131,11 +131,8 @@ def run_messages(top: Topology, gamma, algorithm: str, iterations: int,
         gains = {e: params.effective_coupling(*e) for e in edges}
         transfer = s_transfer if algorithm == SUM_PRODUCT else _clamp_transfer
     g = _gamma_rows(top, gamma)
-    into = {k: [] for k in top.nodes}
-    for (n, k) in edges:            # sorted, so each list ascends in n
-        into[k].append((n, k))
-    plan = [(e, e[0] - 1, [f for f in into[e[0]] if f[0] != e[1]], gains[e])
-            for e in edges]
+    feeders = feeder_edges(top)
+    plan = [(e, e[0] - 1, feeders[e], gains[e]) for e in edges]
     delta = {e: 0.0 for e in edges}
     for _ in range(iterations):
         nxt = {}

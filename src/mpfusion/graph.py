@@ -93,6 +93,16 @@ def neighbors_except(top: Topology, k: int, j: int) -> Tuple[int, ...]:
     return tuple(n for n in neighbors(top, k) if n != j)
 
 
+def feeder_edges(top: Topology) -> Dict[Edge, Tuple[Edge, ...]]:
+    """For each directed edge (k, j), the edges (n, k) with n in N(k) minus j,
+    ascending in n: the messages a flooding round sums into k -> j."""
+    into: Dict[int, list] = {n: [] for n in top.nodes}
+    for (n, k) in top.directed_edges():     # sorted, so each list ascends in n
+        into[k].append((n, k))
+    return {(k, j): tuple(f for f in into[k] if f[0] != j)
+            for (k, j) in top.directed_edges()}
+
+
 def hop_distance(top: Topology, i: int, j: int) -> float:
     """Shortest-path hop count; math.inf when i and j are disconnected."""
     for n in (i, j):

@@ -311,7 +311,7 @@ def egc_weights(top: Topology, c0: float) -> dict:
     still well defined) but flagged with a ContractionWarning, since the
     iterated engine may then diverge.
     """
-    if c0 >= stability_box(top):
+    if abs(c0) >= stability_box(top):
         warnings.warn(
             f"coefficient {c0} is outside the stability box "
             f"(|c| < {stability_box(top):g}); iterated fusion may diverge",

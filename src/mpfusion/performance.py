@@ -72,9 +72,6 @@ class ConditionalStats:
             object.__setattr__(self, "means", {**self.means, v: m})
             object.__setattr__(self, "stds", {**self.stds, v: s})
 
-    def component_count(self, v: int) -> int:
-        return self.weights[v].size
-
 
 @dataclass(frozen=True)
 class ComponentMoments:
@@ -241,10 +238,6 @@ class PerfReport:
     n_on: np.ndarray
     thresholds: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def available(self, kind: str) -> np.ndarray:
-        counts = self.n_off if kind == "pf" else self.n_on
-        return counts > 0
 
     def to_dict(self) -> dict:
         def col(a):

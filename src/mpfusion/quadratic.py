@@ -25,6 +25,9 @@ and `extract_weights` recovers (W, w0) exactly by probing with unit vectors.
 Under "exact" the map is homogeneous (w0 = 0); under "paper" the -E/2 shifts
 leave constant offsets, which are reported, never hidden.
 
+The first round has no incoming messages, so its estimate (u1, v1) is
+`affine_step` with empty message lists.
+
 Couplings enter the relaxation exponent J x_k x_j exactly as stored on the
 edge (no merged/raw rescaling here; that distinction belongs to the discrete
 engines).
@@ -37,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, neighbors, neighbors_except
+from .graph import MrfParams, Topology, feeder_edges, neighbors, neighbors_except
 
 PAPER = "paper"
 EXACT = "exact"
@@ -63,15 +66,6 @@ def local_quadratic(gamma_k, energy_k: float, convention: str):
     if convention == EXACT:
         return -energy_k / 8.0, np.asarray(gamma_k, dtype=float) / 2.0
     raise ValueError(f"unknown convention {convention!r}")
-
-
-def init_affine(gamma_k, energy_k: float, coupling: float,
-                convention: str = PAPER) -> Tuple[np.ndarray, float]:
-    """First-round affine estimate (u, v): no incoming messages yet."""
-    alpha, beta = local_quadratic(gamma_k, energy_k, convention)
-    u = -beta / (2.0 * alpha)
-    v = -coupling / (2.0 * alpha)
-    return u, float(v)
 
 
 def affine_step(gamma_k, energy_k: float, coupling: float,
@@ -151,6 +145,8 @@ def run(instance: QuadraticInstance, gamma, rounds: int) -> QuadraticState:
 
     gamma is (N,) or (N, P); P probe columns run in one pass.  Round r's
     estimates use messages of round r-1, so rounds = 0 leaves lambda = gamma.
+    The feeder lists (n, k) for n in N(k) minus j are built once per call,
+    and incoming messages are summed in ascending neighbour order.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -159,23 +155,24 @@ def run(instance: QuadraticInstance, gamma, rounds: int) -> QuadraticState:
     if g.shape[0] != top.node_count:
         raise ValueError("gamma row count != node count")
     zeros_like_g = np.zeros(g.shape[1:]) if g.ndim > 1 else 0.0
+    feeders = feeder_edges(top)
+    plan = [(e, e[0], instance.params.coupling(*e), feeders[e])
+            for e in top.directed_edges()]
     messages: Dict[Tuple[int, int], Tuple[float, np.ndarray]] = {
-        e: (0.0, zeros_like_g) for e in top.directed_edges()}
+        e: (0.0, zeros_like_g) for e in feeders}
     estimates: Dict[Tuple[int, int], Tuple[np.ndarray, float]] = {}
     for _ in range(rounds):
         estimates = {}
         new_messages = {}
-        for (k, j) in top.directed_edges():
-            coupling = instance.params.coupling(k, j)
+        for e, k, coupling, feeds in plan:
             gamma_k = g[k - 1]
             energy_k = instance.energies[k - 1]
-            others = neighbors_except(top, k, j)
-            inc_a = [messages[(n, k)][0] for n in others]
-            inc_b = [messages[(n, k)][1] for n in others]
+            inc_a = [messages[f][0] for f in feeds]
+            inc_b = [messages[f][1] for f in feeds]
             u, v = affine_step(gamma_k, energy_k, coupling, inc_a, inc_b,
                                instance.convention, node=k)
-            estimates[(k, j)] = (u, v)
-            new_messages[(k, j)] = quad_from_affine(
+            estimates[e] = (u, v)
+            new_messages[e] = quad_from_affine(
                 u, v, gamma_k, energy_k, coupling, inc_a, inc_b,
                 instance.convention, node=k)
         messages = new_messages

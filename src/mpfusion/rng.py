@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 _WORD = 0xFFFFFFFFFFFFFFFF
+_HALF = 2 ** 32     # purpose and index each fill one half of the key word
 
 # purpose words, one per independent use of randomness
 PU_ACTIVITY = 1
@@ -30,14 +31,13 @@ def stream(master_seed: int, purpose: int, index: int = 0) -> np.random.Generato
     """Open the (purpose, index) substream of a master seed.
 
     Deterministic: the same triple always yields the same stream, no matter
-    how many other streams were opened before it.
+    how many other streams were opened before it.  Purpose and index must
+    each fit in 32 bits, since wider values would alias other keys.
     """
     if not 0 <= master_seed <= _WORD:
         raise ValueError(f"master seed must fit in 64 bits, got {master_seed}")
-    if purpose < 0 or index < 0:
-        raise ValueError("purpose and index must be nonnegative")
-    key = np.array(
-        [master_seed, ((purpose & 0xFFFFFFFF) << 32) | (index & 0xFFFFFFFF)],
-        dtype=np.uint64,
-    )
+    if not (0 <= purpose < _HALF and 0 <= index < _HALF):
+        raise ValueError(
+            f"purpose and index must lie in [0, 2**32), got {purpose}, {index}")
+    key = np.array([master_seed, (purpose << 32) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

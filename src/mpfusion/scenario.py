@@ -14,7 +14,10 @@ Bernoulli(pi) stationary.  This gives tunable cross-transmitter correlation
 with a fixed duty cycle.
 
 Everything here is driven by the keyed streams in `rng`, so campaigns are
-reproducible from (seed, index) regardless of what else ran first.
+reproducible from (seed, index) regardless of what else ran first.  A
+`Campaign` keeps activity, node truth and local scores, never the raw
+receiver samples.  `ScenarioConfig` builds its topology when constructed,
+so a bad edge list fails there.
 
 The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (exact per-pattern components of every node) ->
@@ -25,9 +28,7 @@ weight matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -120,6 +121,7 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "edges",
                 tuple((int(a), int(b)) for a, b in self.edges))
+        self.topology()     # a bad edge list fails here, not at run time
 
     @property
     def pu_ids(self) -> tuple:
@@ -281,14 +283,6 @@ def node_states(config: ScenarioConfig, activity: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SlotRecord:
-    t: int
-    activity: tuple
-    states: tuple
-    scores: tuple
-
-
-@dataclass(frozen=True)
 class Campaign:
     """One simulated stretch of slots: activity, truth, and local scores."""
 
@@ -298,45 +292,19 @@ class Campaign:
     gamma: np.ndarray             # (N, T) local scores
     seed: int
     index: int
-    observations: np.ndarray | None = None   # (N, T, K) if kept
-
-    @property
-    def slots(self) -> int:
-        return self.activity.shape[0]
-
-    def slot_records(self) -> Iterator[SlotRecord]:
-        for t in range(self.slots):
-            yield SlotRecord(
-                t,
-                tuple(int(b) for b in self.activity[t]),
-                tuple(int(v) for v in self.x[:, t]),
-                tuple(float(g) for g in self.gamma[:, t]),
-            )
-
-    def to_csv(self, path) -> None:
-        n = self.config.node_count
-        header = (["t"] + [f"pu{i}" for i in self.config.pu_ids]
-                  + [f"x{j}" for j in range(1, n + 1)]
-                  + [f"gamma{j}" for j in range(1, n + 1)])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for rec in self.slot_records():
-                row = ([rec.t] + list(rec.activity) + list(rec.states)
-                       + [f"{g:.9g}" for g in rec.scores])
-                writer.writerow(row)
 
 
 def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
-                 forced_activity: tuple | None = None,
-                 keep_observations: bool = False) -> Campaign:
+                 forced_activity: tuple | None = None) -> Campaign:
     """Simulate `slots` sensing slots.
 
     Reproducible from (config, slots, seed, index): transmitter activity and
     receiver noise come from separately keyed streams, so campaigns with
     different indices are independent while a repeated call is bit-identical.
     `forced_activity` pins the transmitter pattern for every slot, which is
-    how conditioned sampling is done.
+    how conditioned sampling is done.  Receiver noise is drawn and reduced
+    to scores `_OBS_CHUNK` slots at a time, so raw observations are never
+    held for the whole campaign.
     """
     if slots < 1:
         raise ValueError("need at least one slot")
@@ -356,7 +324,6 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
     tau0 = config.tau0 if config.sensing_mode == "energy" else None
 
     gamma = np.empty((n, slots))
-    kept = np.empty((n, slots, k)) if keep_observations else None
     for start in range(0, slots, _OBS_CHUNK):
         stop = min(start + _OBS_CHUNK, slots)
         noise = obs_gen.standard_normal((n, stop - start, k))
@@ -367,9 +334,7 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
             s = y.sum(axis=2)
             gamma[:, start:stop] = (templates[:, None] * s
                                     - k * templates[:, None] ** 2 / 2.0)
-        if keep_observations:
-            kept[:, start:stop, :] = y
-    return Campaign(config, activity, x, gamma, seed, index, kept)
+    return Campaign(config, activity, x, gamma, seed, index)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from mpfusion.scenario import ScenarioConfig
 
 
 def test_format_version_pinned():
-    assert FORMAT_VERSION == "2.0"
+    assert FORMAT_VERSION == "3.0"
 
 
 def test_default_round_trip():
@@ -34,7 +34,7 @@ def test_custom_round_trip():
                                 sensing_mode="matched",
                                 on_prob=(0.4, 0.4), coupling=0.25,
                                 initial_activity=(1, 0)),
-        detector=DetectorBlock(iterations=2, coupling_convention="raw"),
+        detector=DetectorBlock(iterations=2, training_labels="genie"),
         evaluation=EvaluationBlock(methods=("local", "mp0.1"),
                                    trials=500, rho_grid=(-8.0, -4.0),
                                    delta_rule="proportional"),
@@ -56,6 +56,9 @@ def test_empty_dict_gives_defaults():
     ({"evaluation": {"budget": 1}}, "'budget' at $.evaluation"),
     ({"evaluation": {"threads": 2}}, "'threads' at $.evaluation"),
     ({"detector": {"convention": "exact"}}, "'convention' at $.detector"),
+    ({"detector": {"coupling_convention": "raw"}},
+     "'coupling_convention' at $.detector"),
+    ({"detector": {"majority_rounds": 3}}, "'majority_rounds' at $.detector"),
 ])
 def test_unknown_keys_name_their_path(doc, path_bit):
     with pytest.raises(ConfigError, match="unknown key"):
@@ -83,6 +86,8 @@ def test_bad_seed_rejected():
 def test_scenario_errors_carry_scenario_path():
     with pytest.raises(ConfigError, match=r"\$\.scenario"):
         from_dict({"scenario": {"noise_var": -1.0}})
+    with pytest.raises(ConfigError, match=r"\$\.scenario: edge .* outside"):
+        from_dict({"scenario": {"edges": [[1, 9]]}})
 
 
 def test_methods_must_be_list():
@@ -95,8 +100,6 @@ def test_methods_must_be_list():
 def test_detector_block_validation():
     with pytest.raises(ConfigError):
         DetectorBlock(iterations=0)
-    with pytest.raises(ConfigError):
-        DetectorBlock(coupling_convention="double")
     with pytest.raises(ConfigError):
         DetectorBlock(training_labels="oracle")
 

@@ -28,7 +28,7 @@ from mpfusion.discrete import (
     run_messages,
     s_transfer,
 )
-from mpfusion.graph import Topology, chain, star, uniform_params
+from mpfusion.graph import MrfParams, Topology, chain, star, uniform_params
 from mpfusion.optimizer import ContractionWarning, egc_weights
 
 
@@ -143,7 +143,8 @@ def test_max_approximated_sumprod_equals_maxprod_bitwise():
 @pytest.mark.parametrize("mode,algo", [("max", MAX_PRODUCT), ("sum", SUM_PRODUCT)])
 def test_tree_decision_variables_match_enumeration(make_top, convention, mode, algo):
     top = make_top()
-    gen = rng.stream(14, rng.GENERIC, hash((convention, mode)) % 2**31)
+    case = 2 * ("merged", "raw").index(convention) + ("max", "sum").index(mode)
+    gen = rng.stream(14, rng.GENERIC, case)
     for trial in range(25):
         g = gen.uniform(-2, 2, top.node_count)
         params = uniform_params(top, gen.uniform(-1.2, 1.2), convention)
@@ -167,6 +168,36 @@ def test_random_chain_maxprod_matches_enumeration(n, seed):
         run_messages(top, g, MAX_PRODUCT, n - 1, params=params), top, g)
     np.testing.assert_allclose(
         lam, _enumerate_lambdas(top, params, g, "max"), atol=1e-10)
+
+
+@st.composite
+def _random_trees(draw):
+    """A random tree on 1..8 nodes: node i > 1 hangs off a node below it,
+    relabelled by a random permutation so no node order is favoured."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    parents = [draw(st.integers(min_value=1, max_value=i - 1))
+               for i in range(2, n + 1)]
+    label = draw(st.permutations(range(1, n + 1)))
+    return Topology(n, tuple((label[p - 1], label[i - 1])
+                             for i, p in zip(range(2, n + 1), parents)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    top=_random_trees(),
+    convention=st.sampled_from(["merged", "raw"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_random_tree_decision_variables_match_enumeration(top, convention, seed):
+    gen = rng.stream(seed, rng.GENERIC, top.node_count)
+    g = gen.uniform(-3, 3, top.node_count)
+    params = MrfParams(top, {e: float(gen.uniform(-1.5, 1.5)) for e in top.edges},
+                       convention)
+    for algo, mode in ((MAX_PRODUCT, "max"), (SUM_PRODUCT, "sum")):
+        state = run_messages(top, g, algo, top.node_count - 1, params=params)
+        np.testing.assert_allclose(decision_variables(state, top, g),
+                                   _enumerate_lambdas(top, params, g, mode),
+                                   atol=1e-10)
 
 
 def test_more_iterations_than_diameter_is_stationary():

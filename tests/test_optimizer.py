@@ -260,6 +260,8 @@ def test_egc_weights_inside_box_silent():
 def test_egc_weights_outside_box_warns():
     with pytest.warns(ContractionWarning):
         egc_weights(star(5), 0.5)
+    with pytest.warns(ContractionWarning):
+        egc_weights(star(5), -0.34)
 
 
 # ------------------------------------------------------------------- blind

@@ -28,7 +28,6 @@ from mpfusion.quadratic import (
     affine_step,
     decision_variables,
     extract_weights,
-    init_affine,
     local_quadratic,
     mrc_probe,
     quad_from_affine,
@@ -86,13 +85,13 @@ def test_local_quadratic_conventions():
 
 def test_init_affine_paper_matches_published_form():
     # u1 = 2 gamma / E - 1, v1 = 2 J / E
-    u, v = init_affine(0.7, 10.0, 0.3, PAPER)
+    u, v = affine_step(0.7, 10.0, 0.3, [], [], PAPER)
     assert u == pytest.approx(2 * 0.7 / 10.0 - 1.0, abs=1e-15)
     assert v == pytest.approx(2 * 0.3 / 10.0, abs=1e-15)
 
 
 def test_init_affine_exact_convention():
-    u, v = init_affine(0.7, 10.0, 0.3, EXACT)
+    u, v = affine_step(0.7, 10.0, 0.3, [], [], EXACT)
     assert u == pytest.approx(4 * 0.7 / (2 * 10.0), abs=1e-15)
     assert v == pytest.approx(4 * 0.3 / 10.0, abs=1e-15)
 

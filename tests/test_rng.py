@@ -1,6 +1,7 @@
 """Reproducibility of the keyed random streams."""
 
 import numpy as np
+import pytest
 
 from mpfusion import rng
 
@@ -42,3 +43,17 @@ def test_large_seed_and_index_accepted():
     g = rng.stream(2**64 - 1, rng.COUPLING_DRAW, 2**31 - 1)
     x = g.random(4)
     assert np.all((x >= 0) & (x < 1))
+    rng.stream(2**64 - 1, 2**32 - 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed,purpose,index", [
+    (-1, rng.GENERIC, 0),
+    (2**64, rng.GENERIC, 0),
+    (1, -1, 0),
+    (1, rng.GENERIC, -1),
+    (1, 2**32 + rng.PU_ACTIVITY, 0),     # would alias purpose PU_ACTIVITY
+    (1, rng.PU_ACTIVITY, 2**32),         # would alias index 0
+])
+def test_out_of_range_keys_rejected(seed, purpose, index):
+    with pytest.raises(ValueError):
+        rng.stream(seed, purpose, index)

@@ -216,31 +216,6 @@ def test_matched_mode_scores_match_analytic_moments():
         assert got.var() == pytest.approx(want_var, rel=0.08)
 
 
-def test_campaign_csv_round_trip(tmp_path):
-    cfg = ScenarioConfig()
-    camp = run_campaign(cfg, 12, seed=13)
-    path = tmp_path / "campaign.csv"
-    camp.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "t"
-    assert len(lines) == 13
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    # activity flags round-trip exactly
-    np.testing.assert_array_equal(
-        [int(v) for v in first[1:3]], camp.activity[0])
-
-
-def test_slot_records_iterate_in_order():
-    cfg = ScenarioConfig()
-    camp = run_campaign(cfg, 5, seed=14)
-    recs = list(camp.slot_records())
-    assert len(recs) == 5
-    assert [r.t for r in recs] == [0, 1, 2, 3, 4]
-    np.testing.assert_array_equal(recs[2].scores, camp.gamma[:, 2])
-
-
 # ------------------------------------------------------ conditional stats
 
 
