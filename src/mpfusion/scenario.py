@@ -11,7 +11,13 @@ Transmitter on/off dynamics follow coupled two-state chains: each slot,
 with probability `coupling` all transmitters copy one fresh Bernoulli(pi)
 draw, otherwise each flips independently with the rates that keep
 Bernoulli(pi) stationary.  This gives tunable cross-transmitter correlation
-with a fixed duty cycle.
+with a fixed duty cycle.  `draw_activity` walks the chains over one block of
+uniforms drawn up front: a step reads one for the coupling test, then one for
+the common draw or P for the flips.  A generator's `random(n)` returns the
+same doubles as n scalar `random()` calls, so the walk equals a slot-by-slot
+one that draws each uniform as it needs it; the block is sized for the worst
+case, and the uniforms left over at its end belong to the activity stream
+alone, so nothing downstream moves.
 
 Everything here is driven by the keyed streams in `rng`, so campaigns are
 reproducible from (seed, index) regardless of what else ran first.  A
@@ -192,6 +198,12 @@ def pu_configs(config: ScenarioConfig) -> np.ndarray:
 
 
 def _transition_matrix(config: ScenarioConfig) -> np.ndarray:
+    """(2^P, 2^P) one-slot kernel, trans[a, b] = P(pattern a -> pattern b).
+
+    The independent-flip part is built as one (m, m) product per
+    transmitter, multiplied in transmitter order, so every entry carries
+    the same rounding as a per-entry product over the chains.
+    """
     pats = pu_configs(config)
     m = pats.shape[0]
     pi = np.array(config.on_prob)
@@ -199,17 +211,17 @@ def _transition_matrix(config: ScenarioConfig) -> np.ndarray:
     f = config.flip
     up = 2.0 * f * pi            # P(off -> on) per chain
     down = 2.0 * f * (1.0 - pi)  # P(on -> off) per chain
-    trans = np.zeros((m, m))
-    all_on = m - 1
-    for a in range(m):
-        stay = np.where(pats[a] == 1, 1.0 - down, 1.0 - up)
-        move = np.where(pats[a] == 1, down, up)
-        for b in range(m):
-            trans[a, b] = (1.0 - kappa) * np.prod(
-                np.where(pats[b] == pats[a], stay, move))
-        if kappa > 0.0:
-            trans[a, all_on] += kappa * pi[0]
-            trans[a, 0] += kappa * (1.0 - pi[0])
+    on = pats == 1
+    stay = np.where(on, 1.0 - down, 1.0 - up)      # (m, P), by source row
+    move = np.where(on, down, up)
+    trans = np.ones((m, m))
+    for c in range(config.pu_count):
+        same = pats[:, None, c] == pats[None, :, c]
+        trans *= np.where(same, stay[:, None, c], move[:, None, c])
+    trans *= 1.0 - kappa
+    if kappa > 0.0:
+        trans[:, m - 1] += kappa * pi[0]
+        trans[:, 0] += kappa * (1.0 - pi[0])
     return trans
 
 
@@ -233,42 +245,44 @@ def stationary_activity(config: ScenarioConfig) -> np.ndarray:
     return probs / probs.sum()
 
 
-def step_activity(activity: np.ndarray, config: ScenarioConfig,
-                  gen: np.random.Generator) -> np.ndarray:
-    """Advance the coupled on/off chains by one slot."""
-    pi = np.array(config.on_prob)
-    if gen.random() < config.coupling:
-        z = 1 if gen.random() < pi[0] else 0
-        return np.full(config.pu_count, z, dtype=np.int8)
-    r = gen.random(config.pu_count)
-    up = 2.0 * config.flip * pi
-    down = 2.0 * config.flip * (1.0 - pi)
-    flip_prob = np.where(activity == 1, down, up)
-    return np.where(r < flip_prob, 1 - activity, activity).astype(np.int8)
-
-
 def draw_activity(config: ScenarioConfig, slots: int,
                   gen: np.random.Generator,
                   forced: tuple | None = None) -> np.ndarray:
     """(T, P) activity matrix; starts from the stationary law (or the
     configured/forced pattern) and walks the coupled chains."""
+    if slots < 1:
+        raise ValueError("need at least one slot")
     p = config.pu_count
     if forced is not None:
         pattern = np.asarray(forced, dtype=np.int8)
         if pattern.shape != (p,) or not np.all(np.isin(pattern, (0, 1))):
             raise ValueError("forced activity must be one 0/1 flag per transmitter")
         return np.tile(pattern, (slots, 1))
-    out = np.empty((slots, p), dtype=np.int8)
     if config.initial_activity is not None:
-        state = np.array(config.initial_activity, dtype=np.int8)
+        state = list(config.initial_activity)
     else:
         probs = stationary_activity(config)
         pick = int(np.searchsorted(np.cumsum(probs), gen.random()))
-        state = pu_configs(config)[min(pick, probs.size - 1)].copy()
-    for t in range(slots):
-        out[t] = state
-        state = step_activity(state, config, gen)
-    return out
+        state = pu_configs(config)[min(pick, probs.size - 1)].tolist()
+    kappa = config.coupling
+    pi0 = config.on_prob[0]
+    # per chain, the flip probability indexed by the current state (off, on)
+    rates = [(2.0 * config.flip * x, 2.0 * config.flip * (1.0 - x))
+             for x in config.on_prob]
+    # a step uses at most 1 + P uniforms; the tail of the block may go unused
+    u = gen.random((slots - 1) * (1 + p)).tolist()
+    rows = [state]
+    i = 0
+    for _ in range(slots - 1):
+        if u[i] < kappa:
+            state = [1 if u[i + 1] < pi0 else 0] * p
+            i += 2
+        else:
+            state = [s ^ (r < rate[s]) for s, r, rate
+                     in zip(state, u[i + 1:i + 1 + p], rates)]
+            i += 1 + p
+        rows.append(state)
+    return np.array(rows, dtype=np.int8)
 
 
 def node_states(config: ScenarioConfig, activity: np.ndarray) -> np.ndarray:
@@ -306,8 +320,6 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
     to scores `_OBS_CHUNK` slots at a time, so raw observations are never
     held for the whole campaign.
     """
-    if slots < 1:
-        raise ValueError("need at least one slot")
     act_gen = rng.stream(seed, rng.PU_ACTIVITY, index)
     obs_gen = rng.stream(seed, rng.OBSERVATIONS, index)
 
@@ -326,10 +338,12 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
     gamma = np.empty((n, slots))
     for start in range(0, slots, _OBS_CHUNK):
         stop = min(start + _OBS_CHUNK, slots)
-        noise = obs_gen.standard_normal((n, stop - start, k))
-        y = slot_amp[:, start:stop, None] + sigma * noise
+        y = obs_gen.standard_normal((n, stop - start, k))
+        y *= sigma
+        y += slot_amp[:, start:stop, None]
         if config.sensing_mode == "energy":
-            gamma[:, start:stop] = np.mean(y * y, axis=2) - tau0
+            y *= y
+            gamma[:, start:stop] = np.mean(y, axis=2) - tau0
         else:
             s = y.sum(axis=2)
             gamma[:, start:stop] = (templates[:, None] * s
@@ -448,26 +462,32 @@ def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,
         raise ValueError("mismatched campaign arrays")
     weights_pow = 1 << np.arange(activity.shape[1])
     labels = activity.astype(np.int64) @ weights_pow
+    # one stable sort makes each pattern a contiguous run of slots that keeps
+    # ascending slot order, so a cell's samples are the same array the mask
+    # labels == lab would select and its mean and std carry the same bits
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    stops = np.r_[starts[1:], slots]
+    lam_sorted = lam[:, order]
+    x_sorted = x[:, order]
     out = {}
     for j in range(1, n + 1):
         weights_by_v, means_by_v, stds_by_v = {}, {}, {}
         for v in (-1, 1):
-            sel = x[j - 1] == v
-            total = int(sel.sum())
-            if total == 0:
+            hit = x_sorted[j - 1] == v
+            if not hit.any():
                 raise ValueError(
                     f"no calibration slots with node {j} in state {v:+d}")
+            per_run = np.add.reduceat(hit, starts, dtype=np.int64)
             cells = []
-            for lab in np.unique(labels[sel]):
-                cell = sel & (labels == lab)
-                count = int(cell.sum())
-                if count < min_cell:
-                    continue
-                samples = lam[j - 1, cell]
+            for g in np.flatnonzero(per_run >= min_cell):
+                run = slice(starts[g], stops[g])
+                samples = lam_sorted[j - 1, run][hit[run]]
                 sd = float(np.std(samples, ddof=1))
                 if sd <= 0:
                     continue
-                cells.append((count, float(np.mean(samples)), sd))
+                cells.append((int(per_run[g]), float(np.mean(samples)), sd))
             if not cells:
                 raise ValueError(
                     f"all calibration cells for node {j}, state {v:+d} too thin")

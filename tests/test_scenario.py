@@ -5,15 +5,21 @@ an arbitrary start (an independent route to the same fixed point), and the
 analytic score moments by Monte Carlo campaigns.  `stats_for_weights`
 (analytic) and `empirical_conditional_stats` (counted cells) must price the
 same tail probabilities — each route vouches for the other.
+
+The vectorised hot paths are pinned to the loops they replaced, kept here as
+oracles: the per-slot activity step, the per-entry transition kernel, the
+masked per-cell calibration fit and the per-sample sensing statistics.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.performance import gfun
+from mpfusion.performance import ConditionalStats, gfun
 from mpfusion.scenario import (
     Campaign,
     ScenarioConfig,
@@ -29,11 +35,17 @@ from mpfusion.scenario import (
     snr_assignment,
     stationary_activity,
     stats_for_weights,
-    step_activity,
     with_rho,
+    _OBS_CHUNK,
     _transition_matrix,
 )
-from mpfusion.sensing import energy_moments, snr_to_energy
+from mpfusion.sensing import (
+    energy_moments,
+    gen_observations,
+    llr_energy,
+    llr_matched,
+    snr_to_energy,
+)
 
 
 def test_default_scenario_shape():
@@ -142,13 +154,110 @@ def test_forced_activity_pins_every_slot():
     assert np.all(act == np.array([1, 0]))
 
 
-def test_step_activity_respects_duty_cycle_asymmetry():
+def test_draw_activity_respects_duty_cycle_asymmetry():
     cfg = ScenarioConfig(coupling=0.0, on_prob=(0.2, 0.2), flip=0.25)
     gen = rng.stream(55, rng.GENERIC, 0)
-    state = np.array([0, 0], dtype=np.int8)
-    ups = sum(int(step_activity(state, cfg, gen)[0]) for _ in range(20000))
+    chain1 = draw_activity(cfg, 40001, gen)[:, 0]
+    off = chain1[:-1] == 0
+    ups = np.count_nonzero(off & (chain1[1:] == 1))
     # P(off -> on) = 2 f pi = 0.1
-    assert ups / 20000 == pytest.approx(0.1, abs=0.01)
+    assert ups / np.count_nonzero(off) == pytest.approx(0.1, abs=0.01)
+
+
+def test_draw_activity_rejects_empty_walks():
+    cfg = ScenarioConfig()
+    for slots in (0, -3):
+        with pytest.raises(ValueError, match="at least one slot"):
+            draw_activity(cfg, slots, rng.stream(57, rng.GENERIC, 0))
+
+
+def _step_activity_oracle(activity, config, gen):
+    """One slot of the coupled chains, drawing its uniforms one step at a
+    time: the per-slot walk `draw_activity` replaced."""
+    pi = np.array(config.on_prob)
+    if gen.random() < config.coupling:
+        z = 1 if gen.random() < pi[0] else 0
+        return np.full(config.pu_count, z, dtype=np.int8)
+    r = gen.random(config.pu_count)
+    up = 2.0 * config.flip * pi
+    down = 2.0 * config.flip * (1.0 - pi)
+    flip_prob = np.where(activity == 1, down, up)
+    return np.where(r < flip_prob, 1 - activity, activity).astype(np.int8)
+
+
+def _draw_activity_oracle(config, slots, gen):
+    out = np.empty((slots, config.pu_count), dtype=np.int8)
+    if config.initial_activity is not None:
+        state = np.array(config.initial_activity, dtype=np.int8)
+    else:
+        probs = stationary_activity(config)
+        pick = int(np.searchsorted(np.cumsum(probs), gen.random()))
+        state = pu_configs(config)[min(pick, probs.size - 1)].copy()
+    for t in range(slots):
+        out[t] = state
+        state = _step_activity_oracle(state, config, gen)
+    return out
+
+
+@st.composite
+def _walk_cases(draw):
+    p = draw(st.integers(1, 4))
+    coupling = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    if coupling > 0.0:
+        duty = (draw(st.floats(0.0, 1.0)),) * p
+    else:
+        duty = tuple(draw(st.floats(0.0, 1.0)) for _ in range(p))
+    start = draw(st.none() | st.tuples(*[st.integers(0, 1)] * p))
+    # a frozen uncoupled kernel has no unique stationary law to start from
+    lowest = 0.0 if start is not None else 0.01
+    share = draw(st.floats(lowest, 0.99))
+    flip = share / (2.0 * max(max(x, 1.0 - x) for x in duty))
+    cfg = ScenarioConfig(node_count=p, coverage={c: (c,) for c in range(1, p + 1)},
+                         on_prob=duty, flip=flip, coupling=coupling,
+                         initial_activity=start)
+    return cfg, draw(st.integers(1, 400)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walk_cases())
+def test_draw_activity_matches_per_slot_walk(case):
+    cfg, slots, seed = case
+    got = draw_activity(cfg, slots, rng.stream(seed, rng.PU_ACTIVITY, 0))
+    want = _draw_activity_oracle(cfg, slots, rng.stream(seed, rng.PU_ACTIVITY, 0))
+    assert got.dtype == want.dtype == np.int8
+    np.testing.assert_array_equal(got, want)
+
+
+def _transition_matrix_oracle(config):
+    """The kernel entry by entry, one product over the chains each."""
+    pats = pu_configs(config)
+    m = pats.shape[0]
+    pi = np.array(config.on_prob)
+    kappa = config.coupling
+    up = 2.0 * config.flip * pi
+    down = 2.0 * config.flip * (1.0 - pi)
+    trans = np.zeros((m, m))
+    for a in range(m):
+        stay = np.where(pats[a] == 1, 1.0 - down, 1.0 - up)
+        move = np.where(pats[a] == 1, down, up)
+        for b in range(m):
+            trans[a, b] = (1.0 - kappa) * np.prod(
+                np.where(pats[b] == pats[a], stay, move))
+        if kappa > 0.0:
+            trans[a, m - 1] += kappa * pi[0]
+            trans[a, 0] += kappa * (1.0 - pi[0])
+    return trans
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_transition_matrix_matches_per_entry_product(p):
+    coverage = {c: (c,) for c in range(1, p + 1)}
+    for kappa, duty in ((0.0, tuple(np.linspace(0.2, 0.7, p))),
+                        (0.4, (0.35,) * p), (1.0, (0.5,) * p)):
+        cfg = ScenarioConfig(node_count=p, coverage=coverage, on_prob=duty,
+                             coupling=kappa, flip=0.3)
+        np.testing.assert_array_equal(_transition_matrix(cfg),
+                                      _transition_matrix_oracle(cfg))
 
 
 def test_node_states_or_rule():
@@ -214,6 +323,34 @@ def test_matched_mode_scores_match_analytic_moments():
         got = camp.gamma[j - 1]
         assert abs(got.mean() - want_mean) < 4 * math.sqrt(want_var / got.size)
         assert got.var() == pytest.approx(want_var, rel=0.08)
+
+
+@pytest.mark.parametrize("slots", [1, 700, _OBS_CHUNK])
+def test_energy_scores_equal_per_sample_statistic(slots):
+    cfg = ScenarioConfig(rho_db=-5.0)
+    pattern = (1, 0)
+    camp = run_campaign(cfg, slots, seed=13, index=4, forced_activity=pattern)
+    amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
+    y = gen_observations(np.repeat(amp[:, None], slots, axis=1), cfg.noise_var,
+                         cfg.sample_count, rng.stream(13, rng.OBSERVATIONS, 4))
+    np.testing.assert_array_equal(camp.gamma, llr_energy(y, cfg.tau0))
+
+
+@pytest.mark.parametrize("slots", [1, 700, _OBS_CHUNK])
+def test_matched_scores_match_per_sample_statistic(slots):
+    cfg = ScenarioConfig(rho_db=-5.0, sensing_mode="matched")
+    pattern = (0, 1)
+    camp = run_campaign(cfg, slots, seed=14, index=4, forced_activity=pattern)
+    amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
+    y = gen_observations(np.repeat(amp[:, None], slots, axis=1), cfg.noise_var,
+                         cfg.sample_count, rng.stream(14, rng.OBSERVATIONS, 4))
+    templates = nominal_templates(cfg)
+    for j, t in enumerate(templates):
+        want = llr_matched(y[j], np.full(cfg.sample_count, t))
+        # the dot product sums in another order: allow rounding relative to
+        # a bound on the terms t * sum(y) and K t^2 / 2
+        scale = cfg.sample_count * t * (t + np.abs(y[j]).max())
+        np.testing.assert_allclose(camp.gamma[j], want, rtol=0, atol=1e-12 * scale)
 
 
 # ------------------------------------------------------ conditional stats
@@ -285,6 +422,88 @@ def test_empirical_stats_drop_thin_cells():
     with pytest.raises(ValueError):
         # only thin cells exist for v = -1
         empirical_conditional_stats(lam, x, activity, min_cell=5)
+
+
+def _empirical_stats_oracle(lam, x, activity, min_cell):
+    """The per-cell masked fit: one boolean mask over all slots per
+    (node, hypothesis, pattern) cell."""
+    n = lam.shape[0]
+    labels = activity.astype(np.int64) @ (1 << np.arange(activity.shape[1]))
+    out = {}
+    for j in range(1, n + 1):
+        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
+        for v in (-1, 1):
+            sel = x[j - 1] == v
+            if int(sel.sum()) == 0:
+                raise ValueError(
+                    f"no calibration slots with node {j} in state {v:+d}")
+            cells = []
+            for lab in np.unique(labels[sel]):
+                cell = sel & (labels == lab)
+                count = int(cell.sum())
+                if count < min_cell:
+                    continue
+                samples = lam[j - 1, cell]
+                sd = float(np.std(samples, ddof=1))
+                if sd <= 0:
+                    continue
+                cells.append((count, float(np.mean(samples)), sd))
+            if not cells:
+                raise ValueError(
+                    f"all calibration cells for node {j}, state {v:+d} too thin")
+            counts = np.array([c for c, _, _ in cells], dtype=float)
+            weights_by_v[v] = counts / counts.sum()
+            means_by_v[v] = np.array([m for _, m, _ in cells])
+            stds_by_v[v] = np.array([s for _, _, s in cells])
+        out[j] = ConditionalStats(j, weights_by_v, means_by_v, stds_by_v)
+    return out
+
+
+def _fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def _calibration_cases(draw):
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    slots = draw(st.integers(1, 150))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.default_rng(seed)
+    activity = (gen.random((slots, p)) < draw(st.floats(0.0, 1.0))).astype(np.int8)
+    if draw(st.booleans()):
+        # node truth as campaigns give it: a function of the pattern
+        x = np.where(gen.random((n, 2 ** p)) < 0.5, 1, -1).astype(np.int8)
+        x = x[:, activity.astype(np.int64) @ (1 << np.arange(p))]
+    else:
+        x = np.where(gen.random((n, slots)) < draw(st.floats(0.0, 1.0)),
+                     1, -1).astype(np.int8)
+    # without noise, a few distinct values leave some cells with zero spread
+    levels = draw(st.integers(1, 4))
+    noise = draw(st.sampled_from([0.0, 1.0]))
+    lam = (gen.integers(0, levels, (n, slots)) * 0.5
+           + noise * gen.standard_normal((n, slots)))
+    return lam, x, activity, draw(st.integers(2, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_calibration_cases())
+def test_empirical_stats_match_masked_cells(case):
+    lam, x, activity, min_cell = case
+    got = _fit_or_error(empirical_conditional_stats, lam, x, activity, min_cell)
+    want = _fit_or_error(_empirical_stats_oracle, lam, x, activity, min_cell)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.keys() == want.keys()
+    for j in want:
+        for v in (-1, 1):
+            for field in ("weights", "means", "stds"):
+                np.testing.assert_array_equal(getattr(got[j], field)[v],
+                                              getattr(want[j], field)[v])
 
 
 def test_conditioned_campaign_pins_pattern():
