@@ -286,9 +286,6 @@ def cmd_optimize(args) -> int:
                     "thresholds": network.thresholds,
                     "pf": network.pf,
                     "pd": network.pd,
-                    "reward": network.reward,
-                    "cost": network.cost,
-                    "feasible": network.feasible,
                     "notes": list(network.notes)},
     }
     if args.blind:
@@ -307,8 +304,7 @@ def cmd_optimize(args) -> int:
     _write_json(os.path.join(out, "solution.json"), payload)
     mean_pd = float(np.mean([s.pd for s in hood.values()]))
     print(f"neighbourhood design: mean model pd = {mean_pd:.4f}")
-    print(f"network design: reward = {network.reward:.4f}, "
-          f"feasible = {network.feasible}")
+    print(f"network design: mean model pd = {float(np.mean(network.pd)):.4f}")
     print(f"wrote {out}/solution.json")
     return 0
 

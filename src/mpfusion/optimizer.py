@@ -7,9 +7,8 @@ tunes one coefficient per incident edge, own score fixed at weight one,
 maximizing detection probability at a pinned false-alarm rate; searches stay
 inside the open stability box of `discrete.contraction_bound`, so the same
 coefficients can also drive the iterated linear engine.  The network problem
-("P1-style") tunes a full weight row per node under per-node false-alarm
-targets, optional detection floors, and an optional global false-alarm cost
-budget.
+("P1-style") tunes a full weight row per node, each at its node's
+false-alarm target, inside [-2, 2] off the unit diagonal.
 
 Both searches are cyclic coordinate ascent from several starts.  Each line
 search scans 21 points across the box, then re-scans 21 points on
@@ -20,7 +19,7 @@ batch: the design objective prices G candidate rows at once through
 linear rules to Gaussian mixtures, and `performance.solve_thresholds`, which
 pins all G false-alarm rates together.  Exact components come from
 `scenario.moments_from_scenario` (both names are re-exported here), blind
-ones from `blind_adapt`.
+ones from `blind_adapt` through the cell fit `scenario._cell_moments`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .discrete import contraction_bound
 from .graph import MrfParams, Topology, neighbors
 from .performance import (ComponentMoments, gfun, mixture_tail, solve_threshold,
                           solve_thresholds)
-from .scenario import moments_from_scenario
+from .scenario import _cell_moments, moments_from_scenario
 
 _COARSE_POINTS = 11
 _SCAN_POINTS = 21
@@ -44,6 +43,7 @@ _STEP_TOL = 1e-4
 _LINE_TOL = 1e-5
 _MAX_SWEEPS = 60
 _UNBOUNDED_BOX = 10.0
+_P1_BOX = 2.0
 
 
 class ContractionWarning(UserWarning):
@@ -213,41 +213,23 @@ class P1Solution:
     thresholds: np.ndarray        # (N,)
     pf: np.ndarray
     pd: np.ndarray
-    reward: float
-    cost: float
-    feasible: bool
     notes: tuple = field(default=())
 
 
-def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
-                budget: float | None = None, betas=None,
-                seed: int | None = None, box: float = 2.0) -> P1Solution:
+def optimize_p1(moments: dict, top: Topology, alphas,
+                seed: int | None = None) -> P1Solution:
     """Best-effort network design: per-row detection maximization.
 
-    Each node's row (own weight one, all other entries free in [-box, box])
-    is tuned to maximize detection at its own false-alarm target; rows are
+    Each node's row (own weight one, all other entries free in [-2, 2]) is
+    tuned to maximize detection at its own false-alarm target; rows are
     seeded with the neighbourhood solution zero-extended, so the result is
-    never worse than that design under the same statistics.  If a cost
-    budget is given and sum(cost * alpha) exceeds it, the per-node targets
-    are scaled down proportionally and thresholds re-solved with weights
-    kept — a heuristic, reported as such via `notes`.  Detection floors
-    (betas) are checked, not enforced; `feasible` reports the outcome.  Rows
-    whose kept ascent stopped at the sweep cap before converging are named
-    in `notes`.
+    never worse than that design under the same statistics.  Rows whose kept
+    ascent stopped at the sweep cap before converging are named in `notes`.
     """
     n = top.node_count
-    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (n,)).copy()
+    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (n,))
     if np.any((alphas <= 0) | (alphas >= 1)):
         raise ValueError("false-alarm targets must lie in (0, 1)")
-    rewards = np.ones(n) if rewards is None else np.asarray(rewards, dtype=float)
-    costs = np.ones(n) if costs is None else np.asarray(costs, dtype=float)
-    notes = []
-
-    if budget is not None:
-        base_cost = float(costs @ alphas)
-        if base_cost > budget:
-            alphas = alphas * (budget / base_cost)
-            notes.append("false-alarm targets scaled to meet the cost budget")
 
     weight_matrix = np.eye(n)
     capped = []
@@ -269,11 +251,12 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
                 seeded[pos] = hood.coefficients[i]
         starts = [np.zeros(len(others)), seeded]
         gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, 100 + j)
-        starts.append(np.clip(gen.normal(scale=0.3, size=len(others)), -box, box))
+        starts.append(np.clip(gen.normal(scale=0.3, size=len(others)),
+                              -_P1_BOX, _P1_BOX))
 
         best_point, best_val, converged = seeded, -np.inf, True
         for start in starts:
-            point, val, ok = _coordinate_ascent(fun, start, box)
+            point, val, ok = _coordinate_ascent(fun, start, _P1_BOX)
             if val > best_val:
                 best_point, best_val, converged = point, val, ok
         if not converged:
@@ -286,18 +269,11 @@ def optimize_p1(moments: dict, top: Topology, alphas, rewards=None, costs=None,
         pf[j - 1] = gfun(tau, -1, stats)
         pd[j - 1] = gfun(tau, 1, stats)
 
+    notes = ()
     if capped:
-        notes.append(f"coordinate ascent hit the {_MAX_SWEEPS}-sweep cap before "
-                     f"converging for nodes {', '.join(map(str, capped))}")
-    cost = float(costs @ pf)
-    feasible = budget is None or cost <= budget * (1 + 1e-9)
-    if betas is not None:
-        floors = np.broadcast_to(np.asarray(betas, dtype=float), (n,))
-        if np.any(pd < floors):
-            feasible = False
-            notes.append("detection floors not met at the requested targets")
-    return P1Solution(weight_matrix, thresholds, pf, pd,
-                      float(rewards @ pd), cost, feasible, tuple(notes))
+        notes = (f"coordinate ascent hit the {_MAX_SWEEPS}-sweep cap before "
+                 f"converging for nodes {', '.join(map(str, capped))}",)
+    return P1Solution(weight_matrix, thresholds, pf, pd, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -344,68 +320,67 @@ def _majority_pass(labels: np.ndarray, votes: np.ndarray, top: Topology) -> np.n
     return new
 
 
+def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,
+                   min_cell: int) -> dict:
+    """ComponentMoments per node: one cell per pattern of the labels of j and
+    its neighbours, NaN outside that one-hop set.  Node j's label is the top
+    bit of the cell code, so cells keep np.unique's lexicographic order."""
+    n = g.shape[0]
+    moments = {}
+    for j in top.nodes:
+        local = np.array([j] + list(neighbors(top, j)))
+        bits = local.size - 1
+        codes = (1 << np.arange(bits, -1, -1)) @ (labels[local - 1] == 1)
+        cell_codes, counts, means, variances = _cell_moments(g[local - 1], codes,
+                                                             min_cell)
+        spread = np.full((2, cell_codes.size, n), np.nan)
+        spread[:, :, local - 1] = means, variances
+        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
+        for v in (-1, 1):
+            if not np.any(labels[j - 1] == v):
+                raise ValueError(
+                    f"blind labels give node {j} only one class; cannot adapt")
+            sel = (cell_codes >> bits) == (v == 1)
+            if not sel.any():
+                raise ValueError(
+                    f"all blind cells for node {j}, label {v:+d} too thin")
+            weights_by_v[v] = counts[sel] / counts[sel].sum()
+            means_by_v[v], vars_by_v[v] = spread[:, sel]
+        moments[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
+    return moments
+
+
 def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
                 min_cell: int = 5, truth=None, seed: int | None = None) -> BlindResult:
     """Label, cross-correct, estimate, and re-optimize without ground truth.
 
-    Round zero labels each node by the sign of its own score.  Each round,
-    every node forms neighbour votes by thresholding the neighbour's score
-    stream at its window mean, then corrects its own label by majority over
-    {own label} + {votes}; ties keep the previous label.  The corrected
-    labels define one-hop cells from which Gaussian component moments are
-    fitted, and a neighbourhood design is run per node on those estimates.
+    Round zero labels each node by the sign of its own score.  Each of the
+    `rounds` rounds, every node forms neighbour votes by thresholding the
+    neighbour's score stream at its window mean, then corrects its own label
+    by majority over {own label} + {votes}; ties keep the previous label.
+    The corrected labels define one-hop cells from which Gaussian component
+    moments are fitted (cells thinner than `min_cell` slots, at least 2, or
+    without spread are folded away), and a neighbourhood design is run per
+    node on those estimates.
 
     If `truth` (N, T) is supplied, initial/final label accuracies are
     reported for diagnostics; it never influences the estimates.
     """
     g = np.asarray(gamma, dtype=float)
-    n, slots = g.shape
-    if n != top.node_count:
+    if g.ndim != 2 or g.shape[0] != top.node_count:
         raise ValueError("gamma rows must match the topology")
+    if rounds < 0:
+        raise ValueError("rounds must be nonnegative")
     labels = np.where(g > 0, 1, -1).astype(np.int8)
     init_acc = None if truth is None else float(np.mean(labels == truth))
 
     centers = g.mean(axis=1, keepdims=True)
     votes = np.where(g > centers, 1, -1).astype(np.int8)
-    for _ in range(max(rounds, 0)):
+    for _ in range(rounds):
         labels = _majority_pass(labels, votes, top)
     final_acc = None if truth is None else float(np.mean(labels == truth))
 
-    moments = {}
-    solutions = {}
-    for j in top.nodes:
-        nbrs = neighbors(top, j)
-        local = np.array([j] + list(nbrs))
-        keys = labels[[k - 1 for k in local]]
-        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
-        for v in (-1, 1):
-            sel = labels[j - 1] == v
-            if not np.any(sel):
-                raise ValueError(
-                    f"blind labels give node {j} only one class; cannot adapt")
-            cells = []
-            patterns = np.unique(keys[:, sel], axis=1)
-            for col in range(patterns.shape[1]):
-                pat = patterns[:, col]
-                cell = sel & np.all(keys == pat[:, None], axis=0)
-                count = int(cell.sum())
-                if count < max(min_cell, 2):
-                    continue
-                mean_vec = np.full(n, np.nan)
-                var_vec = np.full(n, np.nan)
-                samples = g[:, cell]
-                mean_vec[local - 1] = samples[local - 1].mean(axis=1)
-                var_vec[local - 1] = samples[local - 1].var(axis=1, ddof=1)
-                if np.any(var_vec[local - 1] <= 0):
-                    continue
-                cells.append((count, mean_vec, var_vec))
-            if not cells:
-                raise ValueError(
-                    f"all blind cells for node {j}, label {v:+d} too thin")
-            counts = np.array([c for c, _, _ in cells], dtype=float)
-            weights_by_v[v] = counts / counts.sum()
-            means_by_v[v] = np.stack([m for _, m, _ in cells])
-            vars_by_v[v] = np.stack([s for _, _, s in cells])
-        moments[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
-        solutions[j] = optimize_p2(moments[j], top, j, alpha, seed=seed)
+    moments = _blind_moments(g, labels, top, min_cell)
+    solutions = {j: optimize_p2(moments[j], top, j, alpha, seed=seed)
+                 for j in top.nodes}
     return BlindResult(labels, moments, solutions, init_acc, final_acc)

@@ -243,7 +243,6 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
         lam_fn = lambda g: weights @ g
         taus = sol.thresholds
         extras["weights"] = weights.tolist()
-        extras["feasible"] = sol.feasible
         extras["model_pd"] = sol.pd.tolist()
     else:  # pragma: no cover - parse_method guards this
         raise ValueError(f"unhandled method kind {spec.kind!r}")

@@ -248,6 +248,9 @@ def verify_linearity(instance: QuadraticInstance, iteration: int,
     """
     if trials < 1:
         raise ValueError("need at least one probe")
+    if weights is not None and weights.iteration != iteration:
+        raise ValueError(f"weights were extracted at iteration {weights.iteration}, "
+                         f"not {iteration}")
     fw = weights if weights is not None else extract_weights(instance, iteration)
     n = instance.topology.node_count
     scale = np.array(instance.energies)[:, None] / 2.0

@@ -29,7 +29,8 @@ The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (exact per-pattern components of every node) ->
 `performance.ComponentMoments.stats_for_row`, the one-row case of the single
 push-forward `stats_for_rows`; `stats_for_weights` applies it to a whole
-weight matrix.
+weight matrix.  The sampled route, `empirical_conditional_stats`, fits cells
+with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.
 """
 
 from __future__ import annotations
@@ -230,10 +231,13 @@ def stationary_activity(config: ScenarioConfig) -> np.ndarray:
 
     Solved exactly from the one-slot transition kernel, so it reflects the
     cross-transmitter correlation induced by the common-draw coupling (it is
-    a product law only at coupling = 0).
+    a product law only at coupling = 0).  Raises if there is no unique law.
     """
     if config.pu_count > 10:
         raise ValueError("stationary solve limited to 10 transmitters")
+    if config.flip == 0.0 and config.coupling == 0.0:
+        raise ValueError("flip = 0 and coupling = 0 make every activity pattern "
+                         "absorbing: there is no unique stationary law")
     trans = _transition_matrix(config)
     m = trans.shape[0]
     a = trans.T - np.eye(m)
@@ -446,6 +450,40 @@ def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
             for j, cm in moments_from_scenario(stats).items()}
 
 
+def _cell_moments(samples: np.ndarray, codes: np.ndarray, min_cell: int):
+    """Gaussian fit of the columns of `samples` (d, T) per cell of slots that
+    share a nonnegative integer code (T,).  Cells with fewer than `min_cell`
+    slots or a row without positive ddof=1 variance are folded away.  Returns
+    the kept cells' codes and counts (k,), means and variances (k, d), in
+    ascending code order.  A stable sort makes each cell a run of slots in
+    ascending order, copied C-contiguous so that its moments carry the bits
+    of a boolean-mask selection (a strided view sums rows in another order).
+    """
+    if min_cell < 2:
+        raise ValueError("min_cell must be at least 2: a one-slot cell has "
+                         "no sample variance")
+    # the smallest unsigned type lets the stable sort run as a radix sort
+    order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))),
+                       kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+    counts = np.diff(np.r_[starts, codes.size])
+    ordered = samples[:, order]
+    cells = np.flatnonzero(counts >= min_cell)
+    means = np.empty((cells.size, samples.shape[0]))
+    variances = np.empty_like(means)
+    for row, c in enumerate(cells):
+        # the operations of ndarray.mean and .var(ddof=1), without their wrappers
+        run = ordered[:, starts[c]:starts[c] + counts[c]].copy()
+        means[row] = run.sum(axis=1) / counts[c]
+        run -= means[row][:, None]
+        run *= run
+        variances[row] = run.sum(axis=1) / (counts[c] - 1)
+    keep = ~np.any(variances <= 0, axis=1)
+    cells = cells[keep]
+    return sorted_codes[starts[cells]], counts[cells], means[keep], variances[keep]
+
+
 def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,
                                 activity: np.ndarray,
                                 min_cell: int = 5) -> dict:
@@ -453,48 +491,36 @@ def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,
 
     For each node and hypothesis, slots are split by the activity pattern;
     each cell contributes one component with its sample mean/std and its
-    relative frequency.  Cells thinner than `min_cell` slots are folded away
-    (dropped and the rest renormalized) — their moments would be noise.
+    relative frequency.  Cells thinner than `min_cell` slots (at least 2)
+    or without spread are folded away (dropped and the rest renormalized)
+    by `_cell_moments`, the fit `optimizer.blind_adapt` also uses.
     """
     lam = np.asarray(lam, dtype=float)
     n, slots = lam.shape
     if x.shape != (n, slots) or activity.shape[0] != slots:
         raise ValueError("mismatched campaign arrays")
-    weights_pow = 1 << np.arange(activity.shape[1])
-    labels = activity.astype(np.int64) @ weights_pow
-    # one stable sort makes each pattern a contiguous run of slots that keeps
-    # ascending slot order, so a cell's samples are the same array the mask
-    # labels == lab would select and its mean and std carry the same bits
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    stops = np.r_[starts[1:], slots]
-    lam_sorted = lam[:, order]
-    x_sorted = x[:, order]
+    if not np.all((x == 1) | (x == -1)):
+        raise ValueError("node states must be +-1 valued")
+    p = activity.shape[1]
+    patterns = activity.astype(np.int64) @ (1 << np.arange(p))
     out = {}
     for j in range(1, n + 1):
+        # the state bit above the pattern bits puts state -1's cells first
+        codes, counts, means, variances = _cell_moments(
+            lam[j - 1:j], np.where(x[j - 1] == 1, patterns + (1 << p), patterns),
+            min_cell)
         weights_by_v, means_by_v, stds_by_v = {}, {}, {}
         for v in (-1, 1):
-            hit = x_sorted[j - 1] == v
-            if not hit.any():
+            if not np.any(x[j - 1] == v):
                 raise ValueError(
                     f"no calibration slots with node {j} in state {v:+d}")
-            per_run = np.add.reduceat(hit, starts, dtype=np.int64)
-            cells = []
-            for g in np.flatnonzero(per_run >= min_cell):
-                run = slice(starts[g], stops[g])
-                samples = lam_sorted[j - 1, run][hit[run]]
-                sd = float(np.std(samples, ddof=1))
-                if sd <= 0:
-                    continue
-                cells.append((int(per_run[g]), float(np.mean(samples)), sd))
-            if not cells:
+            sel = (codes >> p) == (v == 1)
+            if not sel.any():
                 raise ValueError(
                     f"all calibration cells for node {j}, state {v:+d} too thin")
-            counts = np.array([c for c, _, _ in cells], dtype=float)
-            weights_by_v[v] = counts / counts.sum()
-            means_by_v[v] = np.array([m for _, m, _ in cells])
-            stds_by_v[v] = np.array([s for _, _, s in cells])
+            weights_by_v[v] = counts[sel] / counts[sel].sum()
+            means_by_v[v] = means[sel, 0]
+            stds_by_v[v] = np.sqrt(variances[sel, 0])
         out[j] = ConditionalStats(j, weights_by_v, means_by_v, stds_by_v)
     return out
 

@@ -217,6 +217,14 @@ def test_probed_weights_predict_random_gammas(convention, rounds):
     assert resid < 1e-9
 
 
+def test_verify_linearity_rejects_weights_of_another_iteration():
+    inst = QuadraticInstance(chain(4), uniform_params(chain(4), 0.25),
+                             (10.0, 12.0, 14.0, 16.0), PAPER)
+    fw = extract_weights(inst, 2)
+    with pytest.raises(ValueError, match="iteration 2"):
+        verify_linearity(inst, 4, 20, rng.stream(26, rng.PROBES, 0), weights=fw)
+
+
 def test_exact_convention_has_zero_offset():
     top = chain(4)
     gen = rng.stream(25, rng.GENERIC, 0)

@@ -134,6 +134,14 @@ def test_zero_flip_zero_coupling_freezes_activity():
     assert np.all(act[:, 1] == 0)
 
 
+def test_zero_flip_zero_coupling_has_no_stationary_law():
+    cfg = ScenarioConfig(coupling=0.0, flip=0.0)
+    for entry in (lambda: run_campaign(cfg, 10, 1), lambda: scenario_stats(cfg)):
+        with pytest.raises(ValueError) as err:
+            entry()
+        assert "flip" in str(err.value) and "coupling" in str(err.value)
+
+
 def test_draw_activity_long_run_frequencies():
     cfg = ScenarioConfig(coupling=0.5)
     gen = rng.stream(53, rng.GENERIC, 0)
@@ -422,6 +430,23 @@ def test_empirical_stats_drop_thin_cells():
     with pytest.raises(ValueError):
         # only thin cells exist for v = -1
         empirical_conditional_stats(lam, x, activity, min_cell=5)
+
+
+def test_empirical_stats_reject_one_slot_cells():
+    lam = np.arange(12.0)[None]
+    x = np.where(np.arange(12) < 6, -1, 1)[None].astype(np.int8)
+    activity = np.zeros((12, 1), dtype=np.int8)
+    activity[0] = 1     # a one-slot pattern cell
+    with pytest.raises(ValueError, match="min_cell"):
+        empirical_conditional_stats(lam, x, activity, min_cell=1)
+
+
+def test_empirical_stats_reject_states_other_than_pm1():
+    x = np.ones((1, 12), dtype=np.int8)
+    x[0, :3] = 0
+    with pytest.raises(ValueError, match="node states"):
+        empirical_conditional_stats(np.arange(12.0)[None], x,
+                                    np.zeros((12, 1), dtype=np.int8))
 
 
 def _empirical_stats_oracle(lam, x, activity, min_cell):
