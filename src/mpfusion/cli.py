@@ -268,11 +268,11 @@ def cmd_optimize(args) -> int:
     scn = cfg.scenario
     top = scn.topology()
     stats = scenario.scenario_stats(scn)
-    moments = optimizer.moments_from_scenario(stats)
+    moments = scenario.moments_from_scenario(stats)
 
     hood = {j: optimizer.optimize_p2(moments[j], top, j, scn.far, seed=cfg.seed)
             for j in top.nodes}
-    network = optimizer.optimize_p1(moments, top, scn.far, seed=cfg.seed)
+    network = optimizer.optimize_p1(moments, top, scn.far, hood, seed=cfg.seed)
 
     payload = {
         "command": "optimize",

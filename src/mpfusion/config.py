@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _is_integer
 
 FORMAT_VERSION = "3.0"
 
@@ -35,6 +35,13 @@ def _check_keys(d: dict, allowed, path: str) -> None:
             raise ConfigError(f"unknown key {key!r} at {path}")
 
 
+def _check_count(value, path: str) -> None:
+    if not _is_integer(value):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{path} must be >= 1")
+
+
 @dataclass(frozen=True)
 class DetectorBlock:
     """Engine-side knobs shared by all presets in a run."""
@@ -43,8 +50,8 @@ class DetectorBlock:
     training_labels: str = "local"       # or "genie"
 
     def __post_init__(self) -> None:
-        if self.iterations is not None and self.iterations < 1:
-            raise ConfigError("$.detector.iterations must be >= 1")
+        if self.iterations is not None:
+            _check_count(self.iterations, "$.detector.iterations")
         if self.training_labels not in ("local", "genie"):
             raise ConfigError(
                 "$.detector.training_labels must be 'local' or 'genie'")
@@ -69,11 +76,13 @@ class EvaluationBlock:
         for t, name in ((self.trials, "trials"),
                         (self.training_slots, "training_slots"),
                         (self.calibration_slots, "calibration_slots")):
-            if t < 1:
-                raise ConfigError(f"$.evaluation.{name} must be >= 1")
+            _check_count(t, f"$.evaluation.{name}")
         if self.rho_grid is not None:
             object.__setattr__(self, "rho_grid",
                                tuple(float(r) for r in self.rho_grid))
+            if not self.rho_grid:
+                raise ConfigError("$.evaluation.rho_grid must not be empty "
+                                  "(null selects the default grid)")
         if self.delta_rule not in ("fixed", "proportional"):
             raise ConfigError(
                 "$.evaluation.delta_rule must be 'fixed' or 'proportional'")

@@ -88,11 +88,6 @@ def neighbors(top: Topology, j: int) -> Tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def neighbors_except(top: Topology, k: int, j: int) -> Tuple[int, ...]:
-    """Neighbors of k with j removed (whether or not j is adjacent to k)."""
-    return tuple(n for n in neighbors(top, k) if n != j)
-
-
 def feeder_edges(top: Topology) -> Dict[Edge, Tuple[Edge, ...]]:
     """For each directed edge (k, j), the edges (n, k) with n in N(k) minus j,
     ascending in n: the messages a flooding round sums into k -> j."""

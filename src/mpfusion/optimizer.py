@@ -7,19 +7,22 @@ tunes one coefficient per incident edge, own score fixed at weight one,
 maximizing detection probability at a pinned false-alarm rate; searches stay
 inside the open stability box of `discrete.contraction_bound`, so the same
 coefficients can also drive the iterated linear engine.  The network problem
-("P1-style") tunes a full weight row per node, each at its node's
-false-alarm target, inside [-2, 2] off the unit diagonal.
+("P1-style") tunes a full weight row per node at the same pinned rate,
+inside [-2, 2] off the unit diagonal.
 
-Both searches are cyclic coordinate ascent from several starts.  Each line
-search scans 21 points across the box, then re-scans 21 points on
-[best - step, best + step] (clipped to the box) until the grid step is at
-most `_LINE_TOL`; P2's coarse start grid is one more scan.  Every scan is one
-batch: the design objective prices G candidate rows at once through
-`performance.ComponentMoments.stats_for_rows`, the single push-forward from
-linear rules to Gaussian mixtures, and `performance.solve_thresholds`, which
-pins all G false-alarm rates together.  Exact components come from
-`scenario.moments_from_scenario` (both names are re-exported here), blind
-ones from `blind_adapt` through the cell fit `scenario._cell_moments`.
+Both designs run one row search, `_search_row`: cyclic coordinate ascent
+from a list of starts, keeping the best point, whose row is then priced once
+for its threshold, Pf and Pd.  Each line search scans 21 points across the
+box, then re-scans 21 points on [best - step, best + step] (clipped to the
+box) until the grid step is at most `_LINE_TOL`; P2's coarse start grid is
+one more scan.  Every scan is one batch: the design objective prices G
+candidate rows at once through `performance.ComponentMoments.stats_for_rows`,
+the single push-forward from linear rules to Gaussian mixtures, and
+`performance.solve_thresholds`, which pins all G false-alarm rates together.
+P1 seeds each row with that node's P2 design, which the caller passes in, so
+a cell solves every neighbourhood design once.  Exact components come from
+`scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
+cell fit `scenario._cell_moments`.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ import numpy as np
 from . import rng
 from .discrete import contraction_bound
 from .graph import MrfParams, Topology, neighbors
-from .performance import (ComponentMoments, gfun, mixture_tail, solve_threshold,
-                          solve_thresholds)
-from .scenario import _cell_moments, moments_from_scenario
+from .performance import ComponentMoments, mixture_tail, solve_thresholds
+from .scenario import _cell_moments
 
 _COARSE_POINTS = 11
 _SCAN_POINTS = 21
@@ -91,17 +93,12 @@ class P2Solution:
     converged: bool
 
 
-def _row_objective(moments: ComponentMoments, indices, rows, alpha: float):
-    """Model Pd and threshold, (G,) each, of the G rules `rows` (G, d) at
-    false-alarm rate alpha."""
-    mix = moments.stats_for_rows(indices, rows)
-    tau = solve_thresholds(*mix[-1], alpha)
-    return mixture_tail(*mix[1], tau), tau
-
-
-def _unit_own_weight(coefficients):
-    """Rows (G, 1 + d) with own weight one before the (G, d) coefficients."""
-    return np.hstack((np.ones((len(coefficients), 1)), coefficients))
+def _price_rows(moments: ComponentMoments, indices, coefficients, alpha: float):
+    """Mixtures of the G rules with own weight one before the (G, d)
+    `coefficients`, and their thresholds (G,) at false-alarm rate alpha."""
+    mix = moments.stats_for_rows(
+        indices, np.hstack((np.ones((len(coefficients), 1)), coefficients)))
+    return mix, solve_thresholds(*mix[-1], alpha)
 
 
 def stability_box(top: Topology) -> float:
@@ -157,6 +154,33 @@ def _coordinate_ascent(fun, start: np.ndarray, box: float):
     return point, value, False
 
 
+def _search_row(moments: ComponentMoments, indices, alpha: float, starts,
+                box: float):
+    """Best row of coordinate ascent on the model Pd from each start.
+
+    Ascent runs inside [-box, box]^d; the first start wins ties.  The kept
+    row is priced once at false-alarm rate alpha.  Returns (coefficients,
+    converged, tau, pf, pd, evaluations).
+    """
+    evals = 0
+
+    def fun(batch):
+        nonlocal evals
+        evals += len(batch)
+        mix, tau = _price_rows(moments, indices, batch, alpha)
+        return mixture_tail(*mix[1], tau)
+
+    best_point, best_val, converged = np.asarray(starts[0], dtype=float), -np.inf, True
+    for start in starts:
+        point, val, ok = _coordinate_ascent(fun, np.asarray(start, dtype=float), box)
+        if val > best_val:
+            best_point, best_val, converged = point, val, ok
+
+    mix, tau = _price_rows(moments, indices, best_point[None], alpha)
+    return (best_point, converged, float(tau[0]), float(mixture_tail(*mix[-1], tau)[0]),
+            float(mixture_tail(*mix[1], tau)[0]), evals)
+
+
 def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
                 alpha: float, seed: int | None = None) -> P2Solution:
     """Tune neighbour coefficients for one node at a pinned false-alarm rate.
@@ -173,34 +197,24 @@ def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
     dim = len(nbrs)
     box = stability_box(top) * (1.0 - 1e-9)
     indices = np.array([node] + list(nbrs))
-    evals = 0
 
-    def fun(batch):
-        nonlocal evals
-        evals += len(batch)
-        return _row_objective(moments, indices, _unit_own_weight(batch), alpha)[0]
-
-    starts = [np.zeros(dim)]
+    starts, grid_evals = [np.zeros(dim)], 0
     if 0 < dim <= 2:
         axes = np.linspace(-box, box, _COARSE_POINTS)
         mesh = np.meshgrid(*([axes] * dim), indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
-        starts.append(grid[int(np.argmax(fun(grid)))].copy())
+        mix, tau = _price_rows(moments, indices, grid, alpha)
+        starts.append(grid[int(np.argmax(mixture_tail(*mix[1], tau)))])
+        grid_evals = len(grid)
     elif dim > 2:
         gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, node)
         for _ in range(8):
             starts.append(gen.uniform(-box, box, size=dim))
 
-    best_point, best_val = np.zeros(dim), -np.inf
-    converged = True
-    for start in starts:
-        point, val, ok = _coordinate_ascent(fun, np.asarray(start, dtype=float), box)
-        if val > best_val:
-            best_point, best_val, converged = point, val, ok
-
-    pd, tau = _row_objective(moments, indices, _unit_own_weight(best_point[None]), alpha)
-    return P2Solution(node, dict(zip(nbrs, (float(c) for c in best_point))),
-                      float(tau[0]), float(pd[0]), alpha, evals, converged)
+    point, converged, tau, _, pd, evals = _search_row(moments, indices, alpha,
+                                                      starts, box)
+    return P2Solution(node, dict(zip(nbrs, (float(c) for c in point))),
+                      tau, pd, alpha, grid_evals + evals, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -216,58 +230,41 @@ class P1Solution:
     notes: tuple = field(default=())
 
 
-def optimize_p1(moments: dict, top: Topology, alphas,
+def optimize_p1(moments: dict, top: Topology, alpha: float, neighbourhood: dict,
                 seed: int | None = None) -> P1Solution:
     """Best-effort network design: per-row detection maximization.
 
     Each node's row (own weight one, all other entries free in [-2, 2]) is
-    tuned to maximize detection at its own false-alarm target; rows are
-    seeded with the neighbourhood solution zero-extended, so the result is
-    never worse than that design under the same statistics.  Rows whose kept
-    ascent stopped at the sweep cap before converging are named in `notes`.
+    tuned to maximize detection at false-alarm rate alpha.  `neighbourhood`
+    maps every node to its `optimize_p2` design at that alpha; rows are
+    seeded with it zero-extended, so the result is never worse than that
+    design under the same statistics.  Rows whose kept ascent stopped at the
+    sweep cap before converging are named in `notes`.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     n = top.node_count
-    alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (n,))
-    if np.any((alphas <= 0) | (alphas >= 1)):
-        raise ValueError("false-alarm targets must lie in (0, 1)")
-
     weight_matrix = np.eye(n)
+    thresholds, pf, pd = np.zeros(n), np.zeros(n), np.zeros(n)
     capped = []
-    thresholds = np.zeros(n)
-    pf = np.zeros(n)
-    pd = np.zeros(n)
-    for j in range(1, n + 1):
-        others = [i for i in range(1, n + 1) if i != j]
-        indices = np.array([j] + others)
-        cm = moments[j]
-
-        def fun(batch):
-            return _row_objective(cm, indices, _unit_own_weight(batch), alphas[j - 1])[0]
-
-        hood = optimize_p2(cm, top, j, float(alphas[j - 1]), seed=seed)
-        seeded = np.zeros(len(others))
-        for pos, i in enumerate(others):
-            if i in hood.coefficients:
-                seeded[pos] = hood.coefficients[i]
-        starts = [np.zeros(len(others)), seeded]
+    for j in top.nodes:
+        hood = neighbourhood.get(j)
+        if hood is None:
+            raise ValueError(f"no neighbourhood design for node {j}")
+        if hood.node != j or hood.pf_target != alpha:
+            raise ValueError(
+                f"neighbourhood design for node {j} is for node {hood.node} at "
+                f"false-alarm rate {hood.pf_target}, not node {j} at {alpha}")
+        others = [i for i in top.nodes if i != j]
         gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, 100 + j)
-        starts.append(np.clip(gen.normal(scale=0.3, size=len(others)),
-                              -_P1_BOX, _P1_BOX))
-
-        best_point, best_val, converged = seeded, -np.inf, True
-        for start in starts:
-            point, val, ok = _coordinate_ascent(fun, start, _P1_BOX)
-            if val > best_val:
-                best_point, best_val, converged = point, val, ok
+        starts = [np.zeros(n - 1),
+                  np.array([hood.coefficients.get(i, 0.0) for i in others]),
+                  np.clip(gen.normal(scale=0.3, size=n - 1), -_P1_BOX, _P1_BOX)]
+        row, converged, thresholds[j - 1], pf[j - 1], pd[j - 1], _ = _search_row(
+            moments[j], np.array([j] + others), alpha, starts, _P1_BOX)
+        weight_matrix[j - 1, np.array(others, dtype=int) - 1] = row
         if not converged:
             capped.append(j)
-        row = np.concatenate(([1.0], best_point))
-        stats = cm.stats_for_row(indices, row)
-        tau = solve_threshold(stats, -1, float(alphas[j - 1]))
-        weight_matrix[j - 1, indices - 1] = row
-        thresholds[j - 1] = tau
-        pf[j - 1] = gfun(tau, -1, stats)
-        pd[j - 1] = gfun(tau, 1, stats)
 
     notes = ()
     if capped:

@@ -15,18 +15,20 @@ Preset labels:
     egc{c0}      linearized engine, one common coefficient c0
     linProp      one-hop linear fusion, coefficients tuned per node
     linPropB     same design run blind (labels, moments, tuning without truth)
-    linOpt       full linear row per node, network design
+    linOpt       full linear row per node, network design seeded with linProp
 
 Thresholds are always produced by inverting the Gaussian-mixture tail
 (`solve_threshold`): from exact scenario statistics for rules that are
 linear in the scores, and from per-pattern sample moments of the engine
-output for the message-passing rules.
+output for the message-passing rules.  A cell solves its neighbourhood
+designs once, and linProp and linOpt read that one set.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +105,6 @@ class _Cell:
     eval: Campaign = None
     _couplings: dict = field(default_factory=dict)
     _labels: np.ndarray | None = None
-    _moments: dict | None = None
 
     def __post_init__(self):
         self.stats = scenario_stats(self.cfg)
@@ -136,10 +137,16 @@ class _Cell:
                 self.training_label_matrix(), self.top, zeta)
         return self._couplings[zeta]
 
+    @cached_property
     def pattern_moments(self) -> dict:
-        if self._moments is None:
-            self._moments = optimizer.moments_from_scenario(self.stats)
-        return self._moments
+        return scenario.moments_from_scenario(self.stats)
+
+    @cached_property
+    def neighbourhood_designs(self) -> dict:
+        """Node -> `optimize_p2` design on the exact moments."""
+        return {j: optimizer.optimize_p2(self.pattern_moments[j], self.top, j,
+                                         self.cfg.far, seed=self.seed)
+                for j in self.top.nodes}
 
     # -- calibration --------------------------------------------------------
 
@@ -214,10 +221,7 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
         taus = cell.linear_thresholds(weights, np.zeros(n))
         extras["weights"] = weights.tolist()
     elif spec.kind == "linProp":
-        moments = cell.pattern_moments()
-        solutions = {j: optimizer.optimize_p2(moments[j], top, j, cfg.far,
-                                              seed=cell.seed)
-                     for j in top.nodes}
+        solutions = cell.neighbourhood_designs
         weights = _row_matrix(top, solutions)
         lam_fn = lambda g: weights @ g
         taus = np.array([solutions[j].threshold for j in top.nodes])
@@ -237,8 +241,8 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
         extras["label_accuracy"] = {"initial": blind.initial_accuracy,
                                     "final": blind.final_accuracy}
     elif spec.kind == "linOpt":
-        moments = cell.pattern_moments()
-        sol = optimizer.optimize_p1(moments, top, cfg.far, seed=cell.seed)
+        sol = optimizer.optimize_p1(cell.pattern_moments, top, cfg.far,
+                                    cell.neighbourhood_designs, seed=cell.seed)
         weights = sol.weights
         lam_fn = lambda g: weights @ g
         taus = sol.thresholds

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, feeder_edges, neighbors, neighbors_except
+from .graph import MrfParams, Topology, feeder_edges, neighbors
 
 PAPER = "paper"
 EXACT = "exact"
@@ -270,9 +270,10 @@ def mrc_probe(instance: QuadraticInstance, k: int, j: int,
     neighbor ids and a (len(sweep), len(neighbors)) magnitude table; the
     no-other-neighbors case yields an empty table.
     """
-    others = neighbors_except(instance.topology, k, j)
-    if j not in neighbors(instance.topology, k):
+    adjacent = neighbors(instance.topology, k)
+    if j not in adjacent:
         raise ValueError(f"({k}, {j}) is not an edge")
+    others = tuple(n for n in adjacent if n != j)
     mags = np.zeros((len(energy_sweep), len(others)))
     if not others:
         return others, mags

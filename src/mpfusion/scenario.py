@@ -35,6 +35,7 @@ with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +52,18 @@ _OBS_CHUNK = 2048
 _STAGGER = {1: (1.0, 0.0, -1.0), 0: (0.0, -1.0, 1.0)}
 
 DEFAULT_COVERAGE = {1: (1, 2, 3), 2: (3, 4, 5)}
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; bools and floats, even integral
+    ones like 2.0, are not counts, node ids or flags."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    if not _is_integer(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -72,9 +85,10 @@ class ScenarioConfig:
     initial_activity: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
+        if _integer(self.node_count, "node_count") < 1:
             raise ValueError("need at least one node")
-        cov = {int(p): tuple(sorted(int(n) for n in nodes))
+        cov = {_integer(p, "coverage transmitter id"):
+               tuple(sorted(_integer(n, "coverage entry") for n in nodes))
                for p, nodes in self.coverage.items()}
         object.__setattr__(self, "coverage", cov)
         if not cov:
@@ -115,19 +129,21 @@ class ScenarioConfig:
             raise ValueError(f"unknown sensing mode {self.sensing_mode!r}")
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
-        if self.sample_count < 1:
+        if _integer(self.sample_count, "sample_count") < 1:
             raise ValueError("need at least one sample per slot")
         if not 0.0 < self.far < 1.0:
             raise ValueError("false-alarm target must lie in (0, 1)")
         if self.initial_activity is not None:
-            ia = tuple(int(b) for b in self.initial_activity)
+            ia = tuple(_integer(b, "initial_activity entry")
+                       for b in self.initial_activity)
             if len(ia) != len(cov) or any(b not in (0, 1) for b in ia):
                 raise ValueError("initial_activity must be one 0/1 flag per transmitter")
             object.__setattr__(self, "initial_activity", ia)
         if self.edges is not None:
             object.__setattr__(
                 self, "edges",
-                tuple((int(a), int(b)) for a, b in self.edges))
+                tuple((_integer(a, "edges entry"), _integer(b, "edges entry"))
+                      for a, b in self.edges))
         self.topology()     # a bad edge list fails here, not at run time
 
     @property

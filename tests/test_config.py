@@ -69,6 +69,31 @@ def test_unknown_keys_name_their_path(doc, path_bit):
             raise
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"scenario": {"edges": [[1.5, 2], [2, 3], [3, 4], [4, 5]]}},
+     r"\$\.scenario: edges entry must be an integer, got 1\.5"),
+    ({"scenario": {"coverage": {"1": [1, 2, 3], "2": [3, 4, 5, 2.7]}}},
+     r"\$\.scenario: coverage entry must be an integer, got 2\.7"),
+    ({"scenario": {"initial_activity": [0.9, 1]}},
+     r"\$\.scenario: initial_activity entry must be an integer, got 0\.9"),
+    ({"scenario": {"sample_count": True}},
+     r"\$\.scenario: sample_count must be an integer, got True"),
+    ({"detector": {"iterations": 2.5}},
+     r"\$\.detector\.iterations must be an integer, got 2\.5"),
+    ({"detector": {"iterations": True}},
+     r"\$\.detector\.iterations must be an integer, got True"),
+    ({"evaluation": {"rho_grid": []}},
+     r"\$\.evaluation\.rho_grid must not be empty"),
+    ({"evaluation": {"trials": 2000.5}},
+     r"\$\.evaluation\.trials must be an integer, got 2000\.5"),
+], ids=["float-edge-id", "float-coverage-id", "float-activity-flag",
+        "bool-sample-count", "float-iterations", "bool-iterations",
+        "empty-rho-grid", "float-trials"])
+def test_bad_values_name_their_path(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        from_dict(doc)
+
+
 def test_non_object_blocks_rejected():
     with pytest.raises(ConfigError):
         from_dict({"detector": [1, 2]})

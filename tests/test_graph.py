@@ -14,7 +14,6 @@ from mpfusion.graph import (
     hop_distance,
     max_degree,
     neighbors,
-    neighbors_except,
     star,
     uniform_params,
 )
@@ -50,13 +49,6 @@ def test_star_structure():
     assert neighbors(top, 1) == (2, 3, 4, 5)
     assert all(neighbors(top, k) == (1,) for k in range(2, 6))
     assert max_degree(top) == 4
-
-
-def test_neighbors_except_removes_target_only():
-    top = chain(4)
-    assert neighbors_except(top, 2, 1) == (3,)
-    assert neighbors_except(top, 2, 3) == (1,)
-    assert neighbors_except(top, 1, 2) == ()
 
 
 @pytest.mark.parametrize("make", [lambda: chain(6), lambda: star(6)])

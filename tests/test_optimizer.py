@@ -23,13 +23,17 @@ from mpfusion.optimizer import (
     blind_adapt,
     egc_weights,
     learn_couplings,
-    moments_from_scenario,
     optimize_p1,
     optimize_p2,
     stability_box,
 )
 from mpfusion.performance import gfun, solve_threshold
-from mpfusion.scenario import ScenarioConfig, scenario_stats, stats_for_weights
+from mpfusion.scenario import (
+    ScenarioConfig,
+    moments_from_scenario,
+    scenario_stats,
+    stats_for_weights,
+)
 
 
 def _two_node_moments(sep=2.0, noise=1.0, corr_quality=1.0):
@@ -208,25 +212,46 @@ def test_optimize_p2_rejects_bad_alpha():
 # ------------------------------------------------------------ network tune
 
 
-def test_optimize_p1_not_worse_than_zero_extended_neighbourhood():
+def _p1_inputs():
+    """Exact moments, topology and neighbourhood designs (alpha 0.1, seed 3)
+    of the bench chain at -8 dB."""
     cfg = ScenarioConfig(rho_db=-8.0)
-    stats = scenario_stats(cfg)
-    moments = moments_from_scenario(stats)
+    moments = moments_from_scenario(scenario_stats(cfg))
     top = cfg.topology()
-    p1 = optimize_p1(moments, top, alphas=0.1, seed=3)
+    hood = {j: optimize_p2(moments[j], top, j, alpha=0.1, seed=3) for j in top.nodes}
+    return moments, top, hood
+
+
+def test_optimize_p1_not_worse_than_zero_extended_neighbourhood():
+    moments, top, hood = _p1_inputs()
+    p1 = optimize_p1(moments, top, 0.1, hood, seed=3)
     for node in top.nodes:
-        hood = optimize_p2(moments[node], top, node, alpha=0.1, seed=3)
-        assert p1.pd[node - 1] >= hood.pd - 1e-9
+        assert p1.pd[node - 1] >= hood[node].pd - 1e-9
     np.testing.assert_allclose(np.diag(p1.weights), 1.0)
     np.testing.assert_allclose(p1.pf, 0.1, atol=1e-6)
 
 
 def test_optimize_p1_names_rows_stopped_at_sweep_cap(monkeypatch):
     monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
-    cfg = ScenarioConfig(rho_db=-8.0)
-    moments = moments_from_scenario(scenario_stats(cfg))
-    p1 = optimize_p1(moments, cfg.topology(), alphas=0.1, seed=3)
+    moments, top, hood = _p1_inputs()
+    p1 = optimize_p1(moments, top, 0.1, hood, seed=3)
     assert any("sweep cap" in note for note in p1.notes)
+
+
+@pytest.mark.parametrize("node,design,message", [
+    (4, None, "no neighbourhood design for node 4"),
+    (2, (3, 0.1), "for node 2 is for node 3"),
+    (5, (5, 0.05), "for node 5 is for node 5 at false-alarm rate 0.05"),
+], ids=["missing", "other-node", "other-alpha"])
+def test_optimize_p1_checks_its_neighbourhood_designs(node, design, message):
+    moments, top, hood = _p1_inputs()
+    if design is None:
+        del hood[node]
+    else:
+        other, alpha = design
+        hood[node] = optimize_p2(moments[other], top, other, alpha=alpha, seed=3)
+    with pytest.raises(ValueError, match=message):
+        optimize_p1(moments, top, 0.1, hood, seed=3)
 
 
 # -------------------------------------------------------------- equal gain

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mpfusion import optimizer
 from mpfusion.pipeline import (
     MethodSpec,
     conditioned_samples,
@@ -110,6 +111,21 @@ def test_mp_preset_records_couplings():
     assert learned is not None
     for edge, j in learned.items():
         assert abs(j) <= 0.3 + 1e-12
+
+
+def test_lin_presets_share_one_neighbourhood_design_per_node(monkeypatch):
+    calls = []
+    design = optimizer.optimize_p2
+
+    def counted(moments, top, node, *args, **kwargs):
+        calls.append(node)
+        return design(moments, top, node, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize_p2", counted)
+    cfg = _small_cfg()
+    evaluate_cell(cfg, ["linProp", "linOpt"], seed=27, training_slots=300,
+                  calibration_slots=500, eval_slots=500)
+    assert sorted(calls) == list(cfg.topology().nodes)
 
 
 # ------------------------------------------------------------------ sweeps
