@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .scenario import ScenarioConfig, _is_integer
+from .scenario import ScenarioConfig, _is_integer, _is_real
 
 FORMAT_VERSION = "3.0"
 
@@ -40,6 +40,11 @@ def _check_count(value, path: str) -> None:
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if value < 1:
         raise ConfigError(f"{path} must be >= 1")
+
+
+def _check_real(value, path: str) -> None:
+    if not _is_real(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,11 @@ class EvaluationBlock:
                         (self.calibration_slots, "calibration_slots")):
             _check_count(t, f"$.evaluation.{name}")
         if self.rho_grid is not None:
+            if not isinstance(self.rho_grid, (list, tuple)):
+                raise ConfigError("$.evaluation.rho_grid must be a list of numbers "
+                                  f"or null, got {self.rho_grid!r}")
+            for i, r in enumerate(self.rho_grid):
+                _check_real(r, f"$.evaluation.rho_grid[{i}]")
             object.__setattr__(self, "rho_grid",
                                tuple(float(r) for r in self.rho_grid))
             if not self.rho_grid:
@@ -86,6 +96,7 @@ class EvaluationBlock:
         if self.delta_rule not in ("fixed", "proportional"):
             raise ConfigError(
                 "$.evaluation.delta_rule must be 'fixed' or 'proportional'")
+        _check_real(self.proportional_factor, "$.evaluation.proportional_factor")
 
 
 @dataclass(frozen=True)

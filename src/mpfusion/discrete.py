@@ -3,7 +3,7 @@
 Messages live in the log-difference domain: a directed edge (k, j) carries
 the scalar delta_{k->j} = m_{k->j}(+1) - m_{k->j}(-1), which is all the
 decision variables ever need.  With t = gamma_k + sum of deltas into k from
-everyone but j, one flooding round updates
+everyone but j, one round updates
 
     sum-product:   delta' = S(Je, t)       (exact two-state marginalization)
     max-product:   delta' = (|t + Je| - |t - Je|) / 2
@@ -18,9 +18,17 @@ maxes, which collapses to clamping t at +-Je; that closed form is what makes
 the decision variables affine in the local statistics wherever no clamp is
 active.  Everything broadcasts: gamma may be a vector over nodes or a
 (node, trial) matrix, and messages follow suit, so a whole Monte Carlo batch
-runs through one set of updates.  `run_messages` is the one flood loop for
+runs through one set of updates.  `run_messages` is the one message loop for
 all three algorithms; only the per-edge transfer and its gain (Je or c)
 differ between them.
+
+The loop does not recompute all 2E messages every round (a flood).  A
+message stops changing once its round count passes the depth of the
+subtree behind it, so `graph.message_schedule` computes only the
+(edge, round) values some reader needs: on a tree run for at least its
+diameter, each directed edge is computed once; edges a cycle feeds are
+computed every round.  Every value it computes is summed and transferred
+exactly as in a flood, so the messages are the flood's, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, feeder_edges, max_degree
+from .graph import MrfParams, Topology, _is_integer, max_degree, message_schedule
 
 MAX_PRODUCT = "max_product"
 SUM_PRODUCT = "sum_product"
@@ -62,7 +70,7 @@ def coefficient_from_coupling(j_eff):
 
 @dataclass(frozen=True)
 class MessageState:
-    """Messages after `iteration` flooding rounds of one algorithm."""
+    """Messages after `iteration` rounds of one algorithm."""
 
     algorithm: str
     iteration: int
@@ -104,18 +112,21 @@ def decide(lam, thresholds=0.0) -> np.ndarray:
 def run_messages(top: Topology, gamma, algorithm: str, iterations: int,
                  params: Optional[MrfParams] = None,
                  coefficients: Optional[Dict[DirectedEdge, float]] = None) -> MessageState:
-    """Run `iterations` flooding rounds from the all-zero start.
+    """The messages after `iterations` rounds from the all-zero start.
 
     Max-product and sum-product need `params` (the per-edge gain is the
     effective coupling); the linearized engine needs a coefficient for every
-    directed edge.  The feeder lists (n, k) for n in N(k) minus j are built
-    once per call, and each round sums t = gamma_k + delta_{n1->k} + ...
-    in ascending neighbour order.
+    directed edge.  The rounds follow `graph.message_schedule`, built once
+    per call: each needed (edge, round) value is computed once, in round
+    order, as t = gamma_k + delta_{n1->k} + ... summed in ascending
+    neighbour order (reads of the zero start add 0.0, as a flood's first
+    round does).  The result equals a flood of `iterations` rounds bit for
+    bit.
     """
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
+    if not _is_integer(iterations) or iterations < 0:
+        raise ValueError(f"iterations must be a nonnegative integer, got {iterations!r}")
     edges = top.directed_edges()
     if algorithm == LINEARIZED:
         if coefficients is None:
@@ -131,17 +142,15 @@ def run_messages(top: Topology, gamma, algorithm: str, iterations: int,
         gains = {e: params.effective_coupling(*e) for e in edges}
         transfer = s_transfer if algorithm == SUM_PRODUCT else _clamp_transfer
     g = _gamma_rows(top, gamma)
-    feeders = feeder_edges(top)
-    plan = [(e, e[0] - 1, feeders[e], gains[e]) for e in edges]
     delta = {e: 0.0 for e in edges}
-    for _ in range(iterations):
+    for batch in message_schedule(top, iterations):
         nxt = {}
-        for e, row, feeders, gain in plan:
-            t = g[row]
+        for e, feeders in batch:
+            t = g[e[0] - 1]
             for f in feeders:
                 t = t + delta[f]
-            nxt[e] = transfer(gain, t)
-        delta = nxt
+            nxt[e] = transfer(gains[e], t)
+        delta.update(nxt)
     return MessageState(algorithm, iterations, delta)
 
 

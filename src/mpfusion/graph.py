@@ -13,10 +13,17 @@ local statistics gamma_j at runtime, never through the field itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
 Edge = Tuple[int, int]
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; bools and floats, even integral
+    ones like 2.0, are not counts, node ids or flags."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _canon(i: int, j: int) -> Edge:
@@ -90,12 +97,70 @@ def neighbors(top: Topology, j: int) -> Tuple[int, ...]:
 
 def feeder_edges(top: Topology) -> Dict[Edge, Tuple[Edge, ...]]:
     """For each directed edge (k, j), the edges (n, k) with n in N(k) minus j,
-    ascending in n: the messages a flooding round sums into k -> j."""
+    ascending in n: the messages a round sums into k -> j."""
     into: Dict[int, list] = {n: [] for n in top.nodes}
     for (n, k) in top.directed_edges():     # sorted, so each list ascends in n
         into[k].append((n, k))
     return {(k, j): tuple(f for f in into[k] if f[0] != j)
             for (k, j) in top.directed_edges()}
+
+
+def _settle_rounds(feeders: Dict[Edge, Tuple[Edge, ...]]) -> Dict[Edge, float]:
+    """The round after which each directed edge's message stops changing:
+    1 + the largest settle round of its feeders (1 with none), math.inf
+    when a cycle feeds it.  On a tree it is the hop count of the longest
+    path that ends with the edge, at most the diameter."""
+    readers: Dict[Edge, list] = {e: [] for e in feeders}
+    waiting = {}
+    for e, fs in feeders.items():
+        waiting[e] = len(fs)
+        for f in fs:
+            readers[f].append(e)
+    settle: Dict[Edge, float] = {}
+    ready = [e for e, n in waiting.items() if n == 0]
+    while ready:
+        e = ready.pop()
+        settle[e] = 1 + max((settle[f] for f in feeders[e]), default=0)
+        for r in readers[e]:
+            waiting[r] -= 1
+            if waiting[r] == 0:
+                ready.append(r)
+    return {e: settle.get(e, math.inf) for e in feeders}
+
+
+def message_schedule(top: Topology, rounds: int):
+    """Demand-driven schedule for `rounds` rounds of a message iteration
+    from the zero start, on the feeder lists of `feeder_edges`.
+
+    A round-r message on edge e reads each feeder f at round r - 1.  Once
+    r - 1 >= settle(f) that value equals f's round-settle(f) value (see
+    `_settle_rounds`), so the read is made at min(r - 1, settle(f)) instead,
+    and e's final value is its round-min(rounds, settle(e)) value.  Working
+    back from the final values marks every (edge, round) value some reader
+    needs; only those are computed, so on a tree with rounds >= diameter
+    each directed edge is computed once, while edges a cycle feeds still
+    compute every round.
+
+    Returns one batch per round 1..rounds: the (e, feeders of e) pairs to
+    compute that round, edges ascending.  No edge is computed after its
+    settle round, and every value a round-r step reads below its settle
+    round is computed at round r - 1, so the latest value of a feeder
+    (the zero start before its first computation) is the one to read.
+    Computing a whole batch from the latest values before storing any of
+    its results keeps at most two values per edge live, as in a flood's two
+    generations, and leaves every edge on its final value.
+    """
+    feeders = feeder_edges(top)
+    settle = _settle_rounds(feeders)
+    marked = [set() for _ in range(rounds + 1)]
+    for e in feeders:
+        marked[min(rounds, settle[e])].add(e)
+    for r in range(rounds, 0, -1):
+        for e in marked[r]:
+            for f in feeders[e]:
+                marked[min(r - 1, settle[f])].add(f)
+    return [tuple((e, feeders[e]) for e in sorted(marked[r]))
+            for r in range(1, rounds + 1)]
 
 
 def hop_distance(top: Topology, i: int, j: int) -> float:

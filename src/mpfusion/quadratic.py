@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, feeder_edges, neighbors
+from .graph import MrfParams, Topology, _is_integer, message_schedule, neighbors
 
 PAPER = "paper"
 EXACT = "exact"
@@ -141,42 +141,47 @@ class QuadraticState:
 
 
 def run(instance: QuadraticInstance, gamma, rounds: int) -> QuadraticState:
-    """Flood `rounds` rounds of quadratic messages from the zero start.
+    """Quadratic messages and estimates after `rounds` rounds from the zero
+    start.
 
     gamma is (N,) or (N, P); P probe columns run in one pass.  Round r's
     estimates use messages of round r-1, so rounds = 0 leaves lambda = gamma.
-    The feeder lists (n, k) for n in N(k) minus j are built once per call,
-    and incoming messages are summed in ascending neighbour order.
+    The rounds follow `graph.message_schedule`, as in
+    `discrete.run_messages`: each needed (edge, round) value is computed
+    once, in round order, with incoming messages summed in ascending
+    neighbour order, and the result equals a flood of `rounds` rounds bit
+    for bit.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
+    if not _is_integer(rounds) or rounds < 0:
+        raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
     top = instance.topology
     g = np.asarray(gamma, dtype=float)
     if g.shape[0] != top.node_count:
         raise ValueError("gamma row count != node count")
     zeros_like_g = np.zeros(g.shape[1:]) if g.ndim > 1 else 0.0
-    feeders = feeder_edges(top)
-    plan = [(e, e[0], instance.params.coupling(*e), feeders[e])
-            for e in top.directed_edges()]
+    edges = top.directed_edges()
     messages: Dict[Tuple[int, int], Tuple[float, np.ndarray]] = {
-        e: (0.0, zeros_like_g) for e in feeders}
+        e: (0.0, zeros_like_g) for e in edges}
     estimates: Dict[Tuple[int, int], Tuple[np.ndarray, float]] = {}
-    for _ in range(rounds):
-        estimates = {}
+    for batch in message_schedule(top, rounds):
         new_messages = {}
-        for e, k, coupling, feeds in plan:
+        for e, feeders in batch:
+            k = e[0]
             gamma_k = g[k - 1]
             energy_k = instance.energies[k - 1]
-            inc_a = [messages[f][0] for f in feeds]
-            inc_b = [messages[f][1] for f in feeds]
+            coupling = instance.params.coupling(*e)
+            inc_a = [messages[f][0] for f in feeders]
+            inc_b = [messages[f][1] for f in feeders]
             u, v = affine_step(gamma_k, energy_k, coupling, inc_a, inc_b,
                                instance.convention, node=k)
             estimates[e] = (u, v)
             new_messages[e] = quad_from_affine(
                 u, v, gamma_k, energy_k, coupling, inc_a, inc_b,
                 instance.convention, node=k)
-        messages = new_messages
-    return QuadraticState(rounds, estimates, messages)
+        messages.update(new_messages)
+    return QuadraticState(rounds,
+                          {e: estimates[e] for e in edges if e in estimates},
+                          messages)
 
 
 def decision_variables(instance: QuadraticInstance, state: QuadraticState,

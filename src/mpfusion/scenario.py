@@ -35,13 +35,14 @@ with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng, sensing
-from .graph import Topology, chain
+from .graph import Topology, _is_integer, chain
 from .performance import ComponentMoments, ConditionalStats
 
 _OBS_CHUNK = 2048
@@ -54,16 +55,23 @@ _STAGGER = {1: (1.0, 0.0, -1.0), 0: (0.0, -1.0, 1.0)}
 DEFAULT_COVERAGE = {1: (1, 2, 3), 2: (3, 4, 5)}
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; bools and floats, even integral
-    ones like 2.0, are not counts, node ids or flags."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _integer(value, what: str) -> int:
     if not _is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    """True for a finite Python or numpy real; bools and strings are not
+    levels, rates or probabilities."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _real(value, what: str) -> float:
+    if not _is_real(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,8 @@ class ScenarioConfig:
     initial_activity: tuple | None = None
 
     def __post_init__(self) -> None:
+        for name in ("rho_db", "delta_rho_db", "noise_var", "far", "flip", "coupling"):
+            _real(getattr(self, name), name)
         if _integer(self.node_count, "node_count") < 1:
             raise ValueError("need at least one node")
         cov = {_integer(p, "coverage transmitter id"):
@@ -108,9 +118,9 @@ class ScenarioConfig:
             raise ValueError(f"nodes {missing} are covered by no transmitter")
         pi = self.on_prob
         if np.isscalar(pi):
-            pi = tuple(float(pi) for _ in cov)
+            pi = tuple(_real(pi, "on_prob") for _ in cov)
         else:
-            pi = tuple(float(x) for x in pi)
+            pi = tuple(_real(x, "on_prob entry") for x in pi)
         if len(pi) != len(cov):
             raise ValueError("on_prob must give one duty cycle per transmitter")
         object.__setattr__(self, "on_prob", pi)

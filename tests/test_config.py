@@ -86,9 +86,41 @@ def test_unknown_keys_name_their_path(doc, path_bit):
      r"\$\.evaluation\.rho_grid must not be empty"),
     ({"evaluation": {"trials": 2000.5}},
      r"\$\.evaluation\.trials must be an integer, got 2000\.5"),
+    ({"scenario": {"rho_db": "x"}},
+     r"\$\.scenario: rho_db must be a finite number, got 'x'"),
+    ({"scenario": {"delta_rho_db": "1"}},
+     r"\$\.scenario: delta_rho_db must be a finite number, got '1'"),
+    ({"scenario": {"far": "0.1"}},
+     r"\$\.scenario: far must be a finite number, got '0\.1'"),
+    ({"scenario": {"noise_var": True}},
+     r"\$\.scenario: noise_var must be a finite number, got True"),
+    ({"scenario": {"rho_db": float("nan")}},
+     r"\$\.scenario: rho_db must be a finite number, got nan"),
+    ({"scenario": {"noise_var": float("inf")}},
+     r"\$\.scenario: noise_var must be a finite number, got inf"),
+    ({"scenario": {"flip": "0.2"}},
+     r"\$\.scenario: flip must be a finite number, got '0\.2'"),
+    ({"scenario": {"coupling": False}},
+     r"\$\.scenario: coupling must be a finite number, got False"),
+    ({"scenario": {"on_prob": ["0.5", 0.5]}},
+     r"\$\.scenario: on_prob entry must be a finite number, got '0\.5'"),
+    ({"scenario": {"on_prob": "0.5"}},
+     r"\$\.scenario: on_prob must be a finite number, got '0\.5'"),
+    ({"evaluation": {"proportional_factor": "0.1"}},
+     r"\$\.evaluation\.proportional_factor must be a finite number, got '0\.1'"),
+    ({"evaluation": {"rho_grid": [-6.0, float("inf")]}},
+     r"\$\.evaluation\.rho_grid\[1\] must be a finite number, got inf"),
+    ({"evaluation": {"rho_grid": ["a"]}},
+     r"\$\.evaluation\.rho_grid\[0\] must be a finite number, got 'a'"),
+    ({"evaluation": {"rho_grid": -6.0}},
+     r"\$\.evaluation\.rho_grid must be a list of numbers or null, got -6\.0"),
 ], ids=["float-edge-id", "float-coverage-id", "float-activity-flag",
         "bool-sample-count", "float-iterations", "bool-iterations",
-        "empty-rho-grid", "float-trials"])
+        "empty-rho-grid", "float-trials", "string-rho", "string-delta-rho",
+        "string-far", "bool-noise-var", "nan-rho", "infinite-noise-var",
+        "string-flip", "bool-coupling", "string-duty-entry",
+        "string-duty-scalar", "string-proportional-factor",
+        "infinite-rho-grid-entry", "string-rho-grid-entry", "scalar-rho-grid"])
 def test_bad_values_name_their_path(doc, message):
     with pytest.raises(ConfigError, match=message):
         from_dict(doc)

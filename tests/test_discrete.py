@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpfusion import rng
+from mpfusion import discrete, rng
 from mpfusion.discrete import (
     LINEARIZED,
     MAX_PRODUCT,
     SUM_PRODUCT,
+    _clamp_transfer,
     coefficient_from_coupling,
     contraction_bound,
     decide,
@@ -28,8 +29,10 @@ from mpfusion.discrete import (
     run_messages,
     s_transfer,
 )
-from mpfusion.graph import MrfParams, Topology, chain, star, uniform_params
+from mpfusion.graph import (MrfParams, Topology, chain, feeder_edges, star,
+                            uniform_params)
 from mpfusion.optimizer import ContractionWarning, egc_weights
+from strategies import random_graphs
 
 
 def _enumerate_lambdas(top, params, gamma, mode):
@@ -52,6 +55,40 @@ def _enumerate_lambdas(top, params, gamma, mode):
             lam[j - 1] = (math.log(sum(math.exp(v) for v in scores[+1]))
                           - math.log(sum(math.exp(v) for v in scores[-1])))
     return lam
+
+
+def _flood_messages(top, gamma, algorithm, iterations, params=None,
+                    coefficients=None):
+    """Every directed message recomputed in every round from the zero start,
+    with t = gamma_k + delta_{n1->k} + ... in ascending neighbour order."""
+    edges = top.directed_edges()
+    if algorithm == LINEARIZED:
+        gains = coefficients
+        transfer = lambda c, t: c * t  # noqa: E731
+    else:
+        gains = {e: params.effective_coupling(*e) for e in edges}
+        transfer = s_transfer if algorithm == SUM_PRODUCT else _clamp_transfer
+    g = np.asarray(gamma, dtype=float)
+    feeders = feeder_edges(top)
+    delta = {e: 0.0 for e in edges}
+    for _ in range(iterations):
+        nxt = {}
+        for e in edges:
+            t = g[e[0] - 1]
+            for f in feeders[e]:
+                t = t + delta[f]
+            nxt[e] = transfer(gains[e], t)
+        delta = nxt
+    return delta
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _binary_tree():
+    return Topology(15, tuple((i // 2, i) for i in range(2, 16)))
 
 
 # ----------------------------------------------------------------- S(a, b)
@@ -170,21 +207,9 @@ def test_random_chain_maxprod_matches_enumeration(n, seed):
         lam, _enumerate_lambdas(top, params, g, "max"), atol=1e-10)
 
 
-@st.composite
-def _random_trees(draw):
-    """A random tree on 1..8 nodes: node i > 1 hangs off a node below it,
-    relabelled by a random permutation so no node order is favoured."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    parents = [draw(st.integers(min_value=1, max_value=i - 1))
-               for i in range(2, n + 1)]
-    label = draw(st.permutations(range(1, n + 1)))
-    return Topology(n, tuple((label[p - 1], label[i - 1])
-                             for i, p in zip(range(2, n + 1), parents)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    top=_random_trees(),
+    top=random_graphs(),
     convention=st.sampled_from(["merged", "raw"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
@@ -235,6 +260,70 @@ def test_vectorized_gamma_slots_match_scalar_runs():
             run_messages(top, g[:, s], SUM_PRODUCT, 3, params=params),
             top, g[:, s])
         np.testing.assert_allclose(lam[:, s], lone, atol=1e-12)
+
+
+# ---------------------------------------------------- schedule vs the flood
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    top=random_graphs(max_extra_edges=3),
+    algo=st.sampled_from([MAX_PRODUCT, SUM_PRODUCT, LINEARIZED]),
+    columns=st.sampled_from([None, 3]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_scheduled_messages_equal_the_flood(top, algo, columns, seed, data):
+    iterations = data.draw(st.integers(min_value=0, max_value=top.node_count + 2))
+    gen = rng.stream(seed, rng.GENERIC, top.node_count)
+    n = top.node_count
+    g = gen.uniform(-3, 3, n if columns is None else (n, columns))
+    # signed zeros pin the reads of the zero start, which turn -0.0 into 0.0
+    g[gen.random(g.shape) < 0.25] = -0.0
+    if algo == LINEARIZED:
+        kw = {"coefficients": {e: float(gen.uniform(-0.6, 0.6))
+                               for e in top.directed_edges()}}
+    else:
+        kw = {"params": MrfParams(top, {e: float(gen.uniform(-1.5, 1.5))
+                                        for e in top.edges})}
+    state = run_messages(top, g, algo, iterations, **kw)
+    want = _flood_messages(top, g, algo, iterations, **kw)
+    assert state.iteration == iterations
+    assert list(state.delta) == list(want)
+    for e, d in want.items():
+        assert np.array_equal(state.delta[e], d)
+        assert _same_bits(state.delta[e], d)
+
+
+def _count_sum_product_transfers(monkeypatch, top, iterations):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return s_transfer(a, b)
+
+    monkeypatch.setattr(discrete, "s_transfer", counted)
+    g = rng.stream(17, rng.GENERIC, 0).uniform(-2, 2, (top.node_count, 4))
+    run_messages(top, g, SUM_PRODUCT, iterations, params=uniform_params(top, 0.7))
+    return len(calls)
+
+
+@pytest.mark.parametrize("make_top,iterations,transfers", [
+    (_binary_tree, 14, 28), (lambda: chain(5), 4, 8), (lambda: chain(5), 9, 8),
+], ids=["binary-tree-15", "chain-5", "chain-5-past-diameter"])
+def test_settled_messages_are_computed_once(monkeypatch, make_top, iterations,
+                                            transfers):
+    # with iterations >= diameter, every directed edge settles: one transfer each
+    assert _count_sum_product_transfers(monkeypatch, make_top(), iterations) == transfers
+
+
+def test_cycles_cost_no_more_than_the_flood(monkeypatch):
+    # a triangle 1-2-3 with the tail 3-4-5-6: the triangle's messages never
+    # settle, but the tail's inward ones do, so the count is below 2E R
+    top = Topology(6, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)))
+    iterations = 7
+    count = _count_sum_product_transfers(monkeypatch, top, iterations)
+    assert count < 2 * len(top.edges) * iterations
 
 
 # ------------------------------------------------------------- linear rule
@@ -297,8 +386,11 @@ def test_decide_infinite_thresholds():
     (LINEARIZED, 1, {"coefficients": {e: 0.5 for e in chain(3).directed_edges()
                                       if e != (2, 3)}}),
     (MAX_PRODUCT, -1, {"params": uniform_params(chain(3), 0.5)}),
+    (MAX_PRODUCT, True, {"params": uniform_params(chain(3), 0.5)}),
+    (SUM_PRODUCT, 2.0, {"params": uniform_params(chain(3), 0.5)}),
 ], ids=["unknown-algorithm", "maxprod-no-params", "sumprod-no-params",
-        "coefficient-missing-edge", "negative-iterations"])
+        "coefficient-missing-edge", "negative-iterations", "bool-iterations",
+        "float-iterations"])
 def test_run_messages_rejects_bad_requests(algorithm, iterations, kw):
     top = chain(3)
     with pytest.raises(ValueError):

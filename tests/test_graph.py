@@ -4,19 +4,27 @@ Hop distances are checked against an independent oracle based on powers of
 the adjacency matrix rather than the BFS used by the implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpfusion.graph import (
     MrfParams,
     Topology,
+    _settle_rounds,
     chain,
+    feeder_edges,
     hop_distance,
     max_degree,
+    message_schedule,
     neighbors,
     star,
     uniform_params,
 )
+from strategies import random_graphs
 
 
 def _hops_by_matrix_power(top, i, j):
@@ -111,3 +119,44 @@ def test_params_bad_convention_rejected():
     top = chain(3)
     with pytest.raises(ValueError):
         uniform_params(top, 0.1, convention="exact")
+
+
+def test_settle_rounds_on_a_chain_and_a_cycle():
+    # on a path the message k -> k+1 settles after k rounds
+    settle = _settle_rounds(feeder_edges(chain(5)))
+    assert [settle[(k, k + 1)] for k in range(1, 5)] == [1, 2, 3, 4]
+    assert [settle[(k + 1, k)] for k in range(1, 5)] == [4, 3, 2, 1]
+    # a triangle with a pendant node 4 on node 3: only 4 -> 3 settles
+    settle = _settle_rounds(feeder_edges(Topology(4, ((1, 2), (1, 3), (2, 3), (3, 4)))))
+    assert settle[(4, 3)] == 1
+    assert all(v == math.inf for e, v in settle.items() if e != (4, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(top=random_graphs(max_extra_edges=3), data=st.data())
+def test_schedule_reads_each_feeder_at_its_capped_round(top, data):
+    # a round-r step must find every feeder f last computed at round
+    # min(r - 1, settle(f)), and each edge must end on round
+    # min(rounds, settle(e)); round 0 is the zero start
+    rounds = data.draw(st.integers(min_value=0, max_value=top.node_count + 2))
+    feeders = feeder_edges(top)
+    settle = _settle_rounds(feeders)
+    batches = message_schedule(top, rounds)
+    assert len(batches) == rounds
+    last = {e: 0 for e in feeders}
+    for r, batch in enumerate(batches, start=1):
+        assert [e for e, _ in batch] == sorted({e for e, _ in batch})
+        for e, feeds in batch:
+            assert feeds == feeders[e]
+            assert all(last[f] == min(r - 1, settle[f]) for f in feeds)
+        last.update((e, r) for e, _ in batch)
+    assert last == {e: min(rounds, settle[e]) for e in feeders}
+
+
+def test_schedule_computes_settled_messages_once():
+    tree = Topology(15, tuple((i // 2, i) for i in range(2, 16)))
+    computed = [e for batch in message_schedule(tree, 14) for e, _ in batch]
+    assert sorted(computed) == sorted(tree.directed_edges())
+    # on a triangle every message is fed by the cycle: all six every round
+    batches = message_schedule(Topology(3, ((1, 2), (1, 3), (2, 3))), 4)
+    assert [len(b) for b in batches] == [6, 6, 6, 6]

@@ -18,13 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.graph import chain, star, uniform_params
+from mpfusion.graph import MrfParams, chain, feeder_edges, star, uniform_params
 from mpfusion.quadratic import (
     EXACT,
     PAPER,
     ConcavityError,
     FusionWeights,
     QuadraticInstance,
+    QuadraticState,
     affine_step,
     decision_variables,
     extract_weights,
@@ -34,6 +35,7 @@ from mpfusion.quadratic import (
     run,
     verify_linearity,
 )
+from strategies import random_graphs
 
 
 def _closed_form_round2(gammas, energies, couplings, k, j, others):
@@ -71,6 +73,35 @@ def _numeric_argmax(curv, lin):
         else:
             a = m1
     return 0.5 * (a + b)
+
+
+def _flood_run(instance, gamma, rounds):
+    """Every directed message and estimate recomputed in every round from
+    the zero start, incoming messages summed in ascending neighbour order."""
+    top = instance.topology
+    g = np.asarray(gamma, dtype=float)
+    zeros_like_g = np.zeros(g.shape[1:]) if g.ndim > 1 else 0.0
+    feeders = feeder_edges(top)
+    messages = {e: (0.0, zeros_like_g) for e in feeders}
+    estimates = {}
+    for _ in range(rounds):
+        estimates, new_messages = {}, {}
+        for e in top.directed_edges():
+            k = e[0]
+            args = (g[k - 1], instance.energies[k - 1], instance.params.coupling(*e))
+            inc_a = [messages[f][0] for f in feeders[e]]
+            inc_b = [messages[f][1] for f in feeders[e]]
+            u, v = affine_step(*args, inc_a, inc_b, instance.convention, node=k)
+            estimates[e] = (u, v)
+            new_messages[e] = quad_from_affine(u, v, *args, inc_a, inc_b,
+                                               instance.convention, node=k)
+        messages = new_messages
+    return estimates, messages
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -------------------------------------------------------------- local terms
@@ -200,6 +231,49 @@ def test_outgoing_quadratic_matches_plugged_in_objective():
         assert (m_plus - m_minus) / 2 == pytest.approx(b_out, abs=1e-10)
 
 
+# ---------------------------------------------------- schedule vs the flood
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    top=random_graphs(max_extra_edges=3),
+    convention=st.sampled_from([PAPER, EXACT]),
+    columns=st.sampled_from([None, 3]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_scheduled_quadratic_messages_equal_the_flood(top, convention, columns,
+                                                      seed, data):
+    rounds = data.draw(st.integers(min_value=0, max_value=top.node_count + 2))
+    gen = rng.stream(seed, rng.GENERIC, top.node_count)
+    n = top.node_count
+    g = gen.uniform(-3, 3, n if columns is None else (n, columns))
+    # signed zeros pin the reads of the zero start, which turn -0.0 into 0.0
+    g[gen.random(g.shape) < 0.25] = -0.0
+    params = MrfParams(top, {e: float(gen.uniform(-0.3, 0.3)) for e in top.edges})
+    inst = QuadraticInstance(top, params, tuple(gen.uniform(8.0, 30.0, n)),
+                             convention)
+    try:
+        want_est, want_msg = _flood_run(inst, g, rounds)
+    except ConcavityError:
+        # incoming curvature only grows with the round count, so a flood
+        # value that fails makes some final value fail too
+        with pytest.raises(ConcavityError):
+            run(inst, g, rounds)
+        return
+    state = run(inst, g, rounds)
+    assert state.rounds == rounds
+    assert list(state.estimates) == list(want_est)
+    assert list(state.messages) == list(want_msg)
+    for got, want in ((state.estimates, want_est), (state.messages, want_msg)):
+        for e, pair in want.items():
+            for x, y in zip(got[e], pair):
+                assert np.array_equal(x, y) and _same_bits(x, y)
+    np.testing.assert_array_equal(decision_variables(inst, state, g),
+                                  decision_variables(inst, QuadraticState(
+                                      rounds, want_est, want_msg), g))
+
+
 # ----------------------------------------------------------- affine probing
 
 
@@ -282,6 +356,13 @@ def test_concavity_error_on_strong_coupling():
     inst = QuadraticInstance(top, uniform_params(top, 1.5), (4.0,) * 4, PAPER)
     with pytest.raises(ConcavityError):
         run(inst, np.zeros(4), 2)
+
+
+@pytest.mark.parametrize("rounds", [True, 2.0, -1])
+def test_run_rejects_bad_round_counts(rounds):
+    inst = QuadraticInstance(chain(3), uniform_params(chain(3), 0.3), (8.0,) * 3)
+    with pytest.raises(ValueError, match="rounds must be a nonnegative integer"):
+        run(inst, np.zeros(3), rounds)
 
 
 def test_zero_rounds_leaves_local_statistics():
