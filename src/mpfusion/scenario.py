@@ -347,8 +347,10 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
     different indices are independent while a repeated call is bit-identical.
     `forced_activity` pins the transmitter pattern for every slot, which is
     how conditioned sampling is done.  Receiver noise is drawn and reduced
-    to scores `_OBS_CHUNK` slots at a time, so raw observations are never
-    held for the whole campaign.
+    to scores one node and `_OBS_CHUNK` slots at a time, into one buffer
+    reused for the whole campaign.  Raw observations are never held for
+    more than that block, and no per-chunk allocation is big enough for
+    heap layout to move the process's peak memory.
     """
     act_gen = rng.stream(seed, rng.PU_ACTIVITY, index)
     obs_gen = rng.stream(seed, rng.OBSERVATIONS, index)
@@ -364,20 +366,24 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
 
     templates = nominal_templates(config)
     tau0 = config.tau0 if config.sensing_mode == "energy" else None
+    offsets = k * templates ** 2 / 2.0
 
     gamma = np.empty((n, slots))
+    buf = np.empty((min(_OBS_CHUNK, slots), k))
     for start in range(0, slots, _OBS_CHUNK):
         stop = min(start + _OBS_CHUNK, slots)
-        y = obs_gen.standard_normal((n, stop - start, k))
-        y *= sigma
-        y += slot_amp[:, start:stop, None]
-        if config.sensing_mode == "energy":
-            y *= y
-            gamma[:, start:stop] = np.mean(y, axis=2) - tau0
-        else:
-            s = y.sum(axis=2)
-            gamma[:, start:stop] = (templates[:, None] * s
-                                    - k * templates[:, None] ** 2 / 2.0)
+        # the stream fills a chunk node by node, so drawing one node's rows
+        # at a time into one reused buffer reads the same numbers
+        y = buf[:stop - start]
+        for i in range(n):
+            obs_gen.standard_normal(out=y)
+            y *= sigma
+            y += slot_amp[i, start:stop, None]
+            if config.sensing_mode == "energy":
+                y *= y
+                gamma[i, start:stop] = np.mean(y, axis=1) - tau0
+            else:
+                gamma[i, start:stop] = templates[i] * y.sum(axis=1) - offsets[i]
     return Campaign(config, activity, x, gamma, seed, index)
 
 

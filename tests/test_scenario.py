@@ -361,6 +361,34 @@ def test_matched_scores_match_per_sample_statistic(slots):
         np.testing.assert_allclose(camp.gamma[j], want, rtol=0, atol=1e-12 * scale)
 
 
+def _whole_chunk_gamma(cfg, camp):
+    """Oracle: scores from one (N, chunk, K) draw per chunk."""
+    obs_gen = rng.stream(camp.seed, rng.OBSERVATIONS, camp.index)
+    slot_amp = link_amplitudes(cfg) @ camp.activity.T.astype(float)
+    templates = nominal_templates(cfg)
+    k, slots = cfg.sample_count, camp.gamma.shape[1]
+    gamma = np.empty_like(camp.gamma)
+    for start in range(0, slots, _OBS_CHUNK):
+        stop = min(start + _OBS_CHUNK, slots)
+        y = obs_gen.standard_normal((cfg.node_count, stop - start, k))
+        y *= np.sqrt(cfg.noise_var)
+        y += slot_amp[:, start:stop, None]
+        if cfg.sensing_mode == "energy":
+            y *= y
+            gamma[:, start:stop] = np.mean(y, axis=2) - cfg.tau0
+        else:
+            gamma[:, start:stop] = (templates[:, None] * y.sum(axis=2)
+                                    - k * templates[:, None] ** 2 / 2.0)
+    return gamma
+
+
+@pytest.mark.parametrize("mode", ["energy", "matched"])
+def test_campaign_scores_equal_whole_chunk_draws(mode):
+    cfg = ScenarioConfig(rho_db=-5.0, sensing_mode=mode)
+    camp = run_campaign(cfg, 2 * _OBS_CHUNK + 300, seed=15, index=2)
+    np.testing.assert_array_equal(camp.gamma, _whole_chunk_gamma(cfg, camp))
+
+
 # ------------------------------------------------------ conditional stats
 
 
