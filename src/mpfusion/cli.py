@@ -113,6 +113,15 @@ def _result_rows(results) -> list:
 _CSV_HEADER = ("method", "rho_db", "delta_rho_db", "node", "pf", "pd", "stderr")
 
 
+def _cell_kwargs(cfg: config_mod.RunConfig) -> dict:
+    """The pipeline keywords a run configuration sets for every cell."""
+    return {"iterations": cfg.detector.iterations,
+            "training_labels": cfg.detector.training_labels,
+            "training_slots": cfg.evaluation.training_slots,
+            "calibration_slots": cfg.evaluation.calibration_slots,
+            "eval_slots": cfg.evaluation.trials}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -120,13 +129,8 @@ _CSV_HEADER = ("method", "rho_db", "delta_rho_db", "node", "pf", "pd", "stderr")
 def cmd_simulate(args) -> int:
     cfg = _load_run(args)
     out = _out_dir(args)
-    results = pipeline.evaluate_cell(
-        cfg.scenario, cfg.evaluation.methods, cfg.seed,
-        iterations=cfg.detector.iterations,
-        training_labels=cfg.detector.training_labels,
-        training_slots=cfg.evaluation.training_slots,
-        calibration_slots=cfg.evaluation.calibration_slots,
-        eval_slots=cfg.evaluation.trials)
+    results = pipeline.evaluate_cell(cfg.scenario, cfg.evaluation.methods, cfg.seed,
+                                     **_cell_kwargs(cfg))
     _write_csv(os.path.join(out, "results.csv"), _CSV_HEADER, _result_rows(results))
     _write_json(os.path.join(out, "report.json"), {
         "command": "simulate",
@@ -155,11 +159,7 @@ def cmd_sweep_snr(args) -> int:
         cfg.scenario, cfg.evaluation.methods, grid, cfg.seed,
         delta_rule=cfg.evaluation.delta_rule,
         proportional_factor=cfg.evaluation.proportional_factor,
-        iterations=cfg.detector.iterations,
-        training_labels=cfg.detector.training_labels,
-        training_slots=cfg.evaluation.training_slots,
-        calibration_slots=cfg.evaluation.calibration_slots,
-        eval_slots=cfg.evaluation.trials)
+        **_cell_kwargs(cfg))
     _write_csv(os.path.join(out, "sweep.csv"), _CSV_HEADER, _result_rows(results))
     _write_json(os.path.join(out, "sweep.json"), {
         "command": "sweep-snr",

@@ -203,8 +203,3 @@ def load(path) -> RunConfig:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return from_dict(raw)
 
-
-def save(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_dict(cfg), fh, indent=2)
-        fh.write("\n")

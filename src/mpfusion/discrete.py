@@ -22,24 +22,24 @@ runs through one set of updates.  `run_messages` is the one message loop for
 all three algorithms; only the per-edge transfer and its gain (Je or c)
 differ between them.
 
-The loop does not recompute all 2E messages every round (a flood).  A
-message stops changing once its round count passes the depth of the
-subtree behind it, so `graph.message_schedule` computes only the
-(edge, round) values some reader needs: on a tree run for at least its
-diameter, each directed edge is computed once; edges a cycle feeds are
-computed every round.  Every value it computes is summed and transferred
-exactly as in a flood, so the messages are the flood's, bit for bit.
+The loop is `graph.run_schedule`, which the quadratic relaxation shares.  It
+does not recompute all 2E messages every round (a flood): a message stops
+changing once its round count passes the depth of the subtree behind it, so
+`graph.message_schedule` computes only the (edge, round) values some reader
+needs.  On a tree run for at least its diameter, each directed edge is
+computed once; edges a cycle feeds are computed every round.  Every value it
+computes is summed and transferred exactly as in a flood, so the messages
+are the flood's, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, _is_integer, max_degree, message_schedule
+from .graph import MrfParams, Topology, run_schedule
 
 MAX_PRODUCT = "max_product"
 SUM_PRODUCT = "sum_product"
@@ -116,17 +116,15 @@ def run_messages(top: Topology, gamma, algorithm: str, iterations: int,
 
     Max-product and sum-product need `params` (the per-edge gain is the
     effective coupling); the linearized engine needs a coefficient for every
-    directed edge.  The rounds follow `graph.message_schedule`, built once
-    per call: each needed (edge, round) value is computed once, in round
-    order, as t = gamma_k + delta_{n1->k} + ... summed in ascending
-    neighbour order (reads of the zero start add 0.0, as a flood's first
-    round does).  The result equals a flood of `iterations` rounds bit for
-    bit.
+    directed edge; `iterations` must be a nonnegative integer.  The rounds
+    run on `graph.run_schedule`: each needed (edge, round) value is computed
+    once, in round order, as t = gamma_k + delta_{n1->k} + ... summed in
+    ascending neighbour order (reads of the zero start add 0.0, as a flood's
+    first round does).  The result equals a flood of `iterations` rounds
+    bit for bit.
     """
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not _is_integer(iterations) or iterations < 0:
-        raise ValueError(f"iterations must be a nonnegative integer, got {iterations!r}")
     edges = top.directed_edges()
     if algorithm == LINEARIZED:
         if coefficients is None:
@@ -142,16 +140,14 @@ def run_messages(top: Topology, gamma, algorithm: str, iterations: int,
         gains = {e: params.effective_coupling(*e) for e in edges}
         transfer = s_transfer if algorithm == SUM_PRODUCT else _clamp_transfer
     g = _gamma_rows(top, gamma)
-    delta = {e: 0.0 for e in edges}
-    for batch in message_schedule(top, iterations):
-        nxt = {}
-        for e, feeders in batch:
-            t = g[e[0] - 1]
-            for f in feeders:
-                t = t + delta[f]
-            nxt[e] = transfer(gains[e], t)
-        delta.update(nxt)
-    return MessageState(algorithm, iterations, delta)
+
+    def step(e, incoming):
+        t = g[e[0] - 1]
+        for d in incoming:
+            t = t + d
+        return transfer(gains[e], t)
+
+    return MessageState(algorithm, iterations, run_schedule(top, iterations, 0.0, step))
 
 
 def _clamp_transfer(je, t):
@@ -173,10 +169,3 @@ def linearized_coefficients(params: MrfParams) -> Dict[DirectedEdge, float]:
         (k, j): coefficient_from_coupling(params.effective_coupling(k, j))
         for (k, j) in params.topology.directed_edges()
     }
-
-
-def contraction_bound(top: Topology) -> float:
-    """|c| below 1/(max_degree - 1) keeps the linear recursion bounded on
-    any graph; infinite when the bound is vacuous (max degree at most 1)."""
-    d = max_degree(top) if top.edges else 0
-    return math.inf if d <= 1 else 1.0 / (d - 1)

@@ -1,8 +1,14 @@
-"""Network topology and pairwise-field parameters.
+"""Network topology, the message schedule, and pairwise-field parameters.
 
 Nodes are 1-based integers.  An undirected edge {i, j} is stored once as the
 sorted pair (min, max); message passing uses *directed* edges (k, j), meaning
-"from k to j".  The pairwise field over states x in {-1,+1}^N is
+"from k to j".  `Topology.adjacency`, built once per topology, is the one
+neighbour index: `neighbors`, `feeder_edges`, `hop_distance` and
+`max_degree` all read it.  `run_schedule` is the one message loop of both
+engine families (`discrete.run_messages` and `quadratic.run`): it follows
+`message_schedule` and only the per-edge step differs between them.
+
+The pairwise field over states x in {-1,+1}^N is
 
     p(x) ∝ prod_j phi_j(x_j) * prod_{ij in E} exp(J_ij x_i x_j)
 
@@ -15,7 +21,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Tuple
 
 Edge = Tuple[int, int]
 
@@ -38,14 +45,16 @@ class Topology:
     edges: Tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
+        if not _is_integer(self.node_count) or self.node_count < 1:
+            raise ValueError(f"node_count must be an integer >= 1, got {self.node_count!r}")
         seen = set()
         canon = []
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
             i, j = e
+            if not (_is_integer(i) and _is_integer(j)):
+                raise ValueError(f"edge {e!r} has a node id that is not an integer")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
@@ -69,6 +78,15 @@ class Topology:
             out.append((j, i))
         return tuple(sorted(out))
 
+    @cached_property
+    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        """Node -> its neighbours in ascending order, built once."""
+        adj: Dict[int, list] = {n: [] for n in self.nodes}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
+
 
 def chain(n: int) -> Topology:
     """Path graph 1-2-...-n."""
@@ -86,22 +104,13 @@ def neighbors(top: Topology, j: int) -> Tuple[int, ...]:
     """Neighbors of j in ascending order."""
     if not 1 <= j <= top.node_count:
         raise ValueError(f"node {j} outside 1..{top.node_count}")
-    out = []
-    for a, b in top.edges:
-        if a == j:
-            out.append(b)
-        elif b == j:
-            out.append(a)
-    return tuple(sorted(out))
+    return top.adjacency[j]
 
 
 def feeder_edges(top: Topology) -> Dict[Edge, Tuple[Edge, ...]]:
     """For each directed edge (k, j), the edges (n, k) with n in N(k) minus j,
     ascending in n: the messages a round sums into k -> j."""
-    into: Dict[int, list] = {n: [] for n in top.nodes}
-    for (n, k) in top.directed_edges():     # sorted, so each list ascends in n
-        into[k].append((n, k))
-    return {(k, j): tuple(f for f in into[k] if f[0] != j)
+    return {(k, j): tuple((n, k) for n in top.adjacency[k] if n != j)
             for (k, j) in top.directed_edges()}
 
 
@@ -148,8 +157,11 @@ def message_schedule(top: Topology, rounds: int):
     (the zero start before its first computation) is the one to read.
     Computing a whole batch from the latest values before storing any of
     its results keeps at most two values per edge live, as in a flood's two
-    generations, and leaves every edge on its final value.
+    generations, and leaves every edge on its final value; `run_schedule`
+    applies that rule.  `rounds` must be a nonnegative integer.
     """
+    if not _is_integer(rounds) or rounds < 0:
+        raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
     feeders = feeder_edges(top)
     settle = _settle_rounds(feeders)
     marked = [set() for _ in range(rounds + 1)]
@@ -163,6 +175,22 @@ def message_schedule(top: Topology, rounds: int):
             for r in range(1, rounds + 1)]
 
 
+def run_schedule(top: Topology, rounds: int, start, step: Callable) -> Dict[Edge, object]:
+    """Every directed edge's value after `rounds` rounds of a message
+    iteration from `start`, the round-0 value of every edge.
+
+    `step(e, incoming)` gives e's next value from its feeders' latest
+    values, in the order of `feeder_edges`.  Each batch of `message_schedule`
+    is computed in full before any of its results is stored, so the values
+    equal a flood of `rounds` rounds.  Returns {edge: value}, edges sorted.
+    """
+    values = {e: start for e in top.directed_edges()}
+    for batch in message_schedule(top, rounds):
+        values.update([(e, step(e, [values[f] for f in feeders]))
+                       for e, feeders in batch])
+    return values
+
+
 def hop_distance(top: Topology, i: int, j: int) -> float:
     """Shortest-path hop count; math.inf when i and j are disconnected."""
     for n in (i, j):
@@ -170,10 +198,7 @@ def hop_distance(top: Topology, i: int, j: int) -> float:
             raise ValueError(f"node {n} outside 1..{top.node_count}")
     if i == j:
         return 0.0
-    adj: Dict[int, list] = {n: [] for n in top.nodes}
-    for a, b in top.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = top.adjacency
     dist = {i: 0}
     frontier = [i]
     while frontier:
@@ -193,11 +218,7 @@ def max_degree(top: Topology) -> int:
     """Largest node degree; error on an edgeless graph."""
     if not top.edges:
         raise ValueError("max_degree undefined on an edgeless graph")
-    deg = {n: 0 for n in top.nodes}
-    for a, b in top.edges:
-        deg[a] += 1
-        deg[b] += 1
-    return max(deg.values())
+    return max(len(nbrs) for nbrs in top.adjacency.values())
 
 
 @dataclass(frozen=True)
@@ -241,8 +262,3 @@ class MrfParams:
         """The message-domain coupling: J itself under "merged", 2J under "raw"."""
         j_val = self.coupling(k, j)
         return j_val if self.convention == "merged" else 2.0 * j_val
-
-
-def uniform_params(top: Topology, j_value: float, convention: str = "merged") -> MrfParams:
-    """Same coupling on every edge."""
-    return MrfParams(top, {e: j_value for e in top.edges}, convention)

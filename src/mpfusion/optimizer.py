@@ -5,10 +5,10 @@ bootstrap that does the whole thing without ground truth.
 Two design problems are covered.  The neighbourhood problem ("P2-style")
 tunes one coefficient per incident edge, own score fixed at weight one,
 maximizing detection probability at a pinned false-alarm rate; searches stay
-inside the open stability box of `discrete.contraction_bound`, so the same
-coefficients can also drive the iterated linear engine.  The network problem
-("P1-style") tunes a full weight row per node at the same pinned rate,
-inside [-2, 2] off the unit diagonal.
+inside the open box of `stability_box`, |c| < 1/(max degree - 1), so the
+same coefficients can also drive the iterated linear engine.  The network
+problem ("P1-style") tunes a full weight row per node at the same pinned
+rate, inside [-2, 2] off the unit diagonal.
 
 Both designs run one row search, `_search_row`: cyclic coordinate ascent
 from a list of starts, keeping the best point, whose row is then priced once
@@ -22,20 +22,19 @@ the single push-forward from linear rules to Gaussian mixtures, and
 P1 seeds each row with that node's P2 design, which the caller passes in, so
 a cell solves every neighbourhood design once.  Exact components come from
 `scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
-cell fit `scenario._cell_moments`.
+cell fit `scenario._cell_moments`; both split their cells by hypothesis with
+`ComponentMoments.from_cells`.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .discrete import contraction_bound
-from .graph import MrfParams, Topology, neighbors
+from .graph import MrfParams, Topology, max_degree, neighbors
 from .performance import ComponentMoments, mixture_tail, solve_thresholds
 from .scenario import _cell_moments
 
@@ -103,10 +102,11 @@ def _price_rows(moments: ComponentMoments, indices, coefficients, alpha: float):
 
 def stability_box(top: Topology) -> float:
     """Half-width of the open coefficient box keeping iteration stable:
-    `contraction_bound`, with a finite stand-in where that bound is vacuous
-    (max degree at most one)."""
-    bound = contraction_bound(top)
-    return _UNBOUNDED_BOX if math.isinf(bound) else bound
+    |c| below 1/(max degree - 1) keeps the linear recursion bounded on any
+    graph.  Where that bound is vacuous (max degree at most one) the box is
+    the finite stand-in `_UNBOUNDED_BOX`."""
+    d = max_degree(top) if top.edges else 0
+    return _UNBOUNDED_BOX if d <= 1 else 1.0 / (d - 1)
 
 
 def _line_search(fun, i: int, point: np.ndarray, lo: float, hi: float):
@@ -320,11 +320,16 @@ def _majority_pass(labels: np.ndarray, votes: np.ndarray, top: Topology) -> np.n
 def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,
                    min_cell: int) -> dict:
     """ComponentMoments per node: one cell per pattern of the labels of j and
-    its neighbours, NaN outside that one-hop set.  Node j's label is the top
-    bit of the cell code, so cells keep np.unique's lexicographic order."""
+    its neighbours, NaN outside that one-hop set, split by j's label with
+    `ComponentMoments.from_cells`.  Node j's label is the top bit of the
+    cell code, so cells keep np.unique's lexicographic order."""
     n = g.shape[0]
     moments = {}
     for j in top.nodes:
+        for v in (-1, 1):
+            if not np.any(labels[j - 1] == v):
+                raise ValueError(
+                    f"blind labels give node {j} only one class; cannot adapt")
         local = np.array([j] + list(neighbors(top, j)))
         bits = local.size - 1
         codes = (1 << np.arange(bits, -1, -1)) @ (labels[local - 1] == 1)
@@ -332,18 +337,8 @@ def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,
                                                              min_cell)
         spread = np.full((2, cell_codes.size, n), np.nan)
         spread[:, :, local - 1] = means, variances
-        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
-        for v in (-1, 1):
-            if not np.any(labels[j - 1] == v):
-                raise ValueError(
-                    f"blind labels give node {j} only one class; cannot adapt")
-            sel = (cell_codes >> bits) == (v == 1)
-            if not sel.any():
-                raise ValueError(
-                    f"all blind cells for node {j}, label {v:+d} too thin")
-            weights_by_v[v] = counts[sel] / counts[sel].sum()
-            means_by_v[v], vars_by_v[v] = spread[:, sel]
-        moments[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
+        moments[j] = ComponentMoments.from_cells(
+            j, np.where(cell_codes >> bits, 1, -1), counts, *spread)
     return moments
 
 

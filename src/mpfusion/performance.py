@@ -3,9 +3,12 @@
 Closed-form route: decision variables that are linear in the local scores
 have, conditional on the hidden state vector, a Gaussian mixture law.
 `ComponentMoments` describes one node's mixture components by the score
-moments of every node, and `ComponentMoments.stats_for_rows` is the single
-push-forward from a batch of linear rules to their component means and
-stds (`stats_for_row` is its one-row case, giving a `ConditionalStats`).
+moments of every node.  `ComponentMoments.from_cells` is the one split of
+cells (activity patterns or label cells) by the node's hypothesis, for the
+exact, the calibration and the blind components alike, and
+`ComponentMoments.stats_for_rows` is the single push-forward from a batch
+of linear rules to their component means and stds (`stats_for_row` is its
+one-row case, giving a `ConditionalStats`).
 The false-alarm / detection probabilities are then mixtures of Q-tails
 (`mixture_tail`, and `gfun` for one `ConditionalStats`).  Thresholds come
 from inverting that curve with one solver, `solve_thresholds`: a
@@ -88,6 +91,26 @@ class ComponentMoments:
     weights: dict
     means: dict
     variances: dict
+
+    @classmethod
+    def from_cells(cls, node: int, states, mass, means, variances) -> "ComponentMoments":
+        """Components of `node` from cells of slots or patterns.
+
+        Cell c is one component under hypothesis states[c] (+-1), with
+        weight mass[c] (a probability or a slot count) and score moments
+        means[c], variances[c] (each (N,)).  Cells without mass are dropped,
+        and each hypothesis's weights are renormalized to sum to one.
+        Raises when a hypothesis is left without mass.
+        """
+        weights, by_mean, by_var = {}, {}, {}
+        for v in (-1, 1):
+            sel = (states == v) & (mass > 0)
+            if not sel.any():
+                raise ValueError(f"node {node} has no cell with mass in state {v:+d}")
+            weights[v] = mass[sel] / mass[sel].sum()
+            # boolean selection along the cell axis: C-contiguous copies
+            by_mean[v], by_var[v] = means[sel], variances[sel]
+        return cls(node, weights, by_mean, by_var)
 
     def stats_for_rows(self, indices, rows, offset: float = 0.0) -> dict:
         """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[i]} (+offset).

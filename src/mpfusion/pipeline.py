@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import discrete, optimizer, rng, scenario
-from .graph import MrfParams, Topology
+from .graph import MrfParams, Topology, _is_integer
 from .performance import PerfReport, monte_carlo_perf, solve_threshold
 from .scenario import (Campaign, ScenarioConfig, empirical_conditional_stats,
                        run_campaign, scenario_stats, stats_for_weights, with_rho)
@@ -260,6 +260,15 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
                         report, np.asarray(taus, dtype=float), extras)
 
 
+def _rounds(top: Topology, iterations) -> int:
+    """Engine rounds: node_count - 1 by default, else a nonnegative integer."""
+    if iterations is None:
+        return top.node_count - 1
+    if not _is_integer(iterations) or iterations < 0:
+        raise ValueError(f"iterations must be a nonnegative integer, got {iterations!r}")
+    return int(iterations)
+
+
 def evaluate_cell(cfg: ScenarioConfig, methods, seed: int, *,
                   cell_index: int = 0, iterations: int | None = None,
                   training_labels: str = "local", training_slots: int = 2500,
@@ -268,8 +277,7 @@ def evaluate_cell(cfg: ScenarioConfig, methods, seed: int, *,
     """Run every preset at one operating point on shared campaigns."""
     specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
     top = cfg.topology()
-    iters = (top.node_count - 1) if iterations is None else int(iterations)
-    cell = _Cell(cfg, top, seed, cell_index, iters, training_labels,
+    cell = _Cell(cfg, top, seed, cell_index, _rounds(top, iterations), training_labels,
                  training_slots, calibration_slots, eval_slots)
     return [_evaluate_preset(cell, spec) for spec in specs]
 
@@ -310,7 +318,7 @@ def conditioned_samples(cfg: ScenarioConfig, algorithm: str, pattern, trials: in
     Returns (lam, campaign, params).
     """
     top = cfg.topology()
-    iters = (top.node_count - 1) if iterations is None else int(iterations)
+    iters = _rounds(top, iterations)
     draw = rng.stream(seed, rng.COUPLING_DRAW, index)
     couplings = {edge: float(draw.uniform(0.0, coupling_high))
                  for edge in top.edges}

@@ -25,8 +25,10 @@ and `extract_weights` recovers (W, w0) exactly by probing with unit vectors.
 Under "exact" the map is homogeneous (w0 = 0); under "paper" the -E/2 shifts
 leave constant offsets, which are reported, never hidden.
 
-The first round has no incoming messages, so its estimate (u1, v1) is
-`affine_step` with empty message lists.
+One per-edge step computes the aggregate quadratic (A, B) once and returns
+both the estimate (u, v) and the outgoing message (a, b); the first round has
+no incoming messages, so its estimate is (u1, v1).  The rounds run on
+`graph.run_schedule`, the message loop `discrete.run_messages` also uses.
 
 Couplings enter the relaxation exponent J x_k x_j exactly as stored on the
 edge (no merged/raw rescaling here; that distinction belongs to the discrete
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, _is_integer, message_schedule, neighbors
+from .graph import MrfParams, Topology, neighbors, run_schedule
 
 PAPER = "paper"
 EXACT = "exact"
@@ -68,12 +70,20 @@ def local_quadratic(gamma_k, energy_k: float, convention: str):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def affine_step(gamma_k, energy_k: float, coupling: float,
-                incoming_a: Sequence[float], incoming_b,
-                convention: str = PAPER,
-                node: int = 0) -> Tuple[np.ndarray, float]:
-    """Stationary point of the receiving-node optimization with incoming
-    quadratic messages: u = -B/(2A), v = -J/(2A)."""
+def _edge_step(gamma_k, energy_k: float, coupling: float,
+               incoming_a: Sequence[float], incoming_b, convention: str,
+               node: int):
+    """One relaxed edge update from the incoming quadratic messages.
+
+    With A = alpha_k + sum of incoming a and B = beta_k + sum of incoming b,
+    the estimate is the stationary point u = -B/(2A), v = -J/(2A), and
+    substituting xhat = u + v x_j into F(x) = A x^2 + B x plus J xhat x_j
+    gives the outgoing message (constant dropped)
+
+        a = A v^2 + J v,      b = 2 A u v + B v + J u.
+
+    Returns ((u, v), (a, b)).
+    """
     alpha, beta = local_quadratic(gamma_k, energy_k, convention)
     curv = alpha + sum(incoming_a)
     if not curv < 0:
@@ -82,31 +92,9 @@ def affine_step(gamma_k, energy_k: float, coupling: float,
     for b in incoming_b:
         lin = lin + b
     u = -lin / (2.0 * curv)
-    v = -coupling / (2.0 * curv)
-    return u, float(v)
-
-
-def quad_from_affine(u, v: float, gamma_k, energy_k: float, coupling: float,
-                     incoming_a: Sequence[float] = (), incoming_b=(),
-                     convention: str = PAPER, node: int = 0):
-    """Expand ln phi_k + incoming messages + J xhat x_j at xhat = u + v x_j.
-
-    Returns the (a, b) of the outgoing quadratic message; the constant term
-    is discarded.  Substituting F(x) = A x^2 + B x with A, B the aggregate
-    curvature/linear coefficients gives
-
-        a = A v^2 + J v,      b = 2 A u v + B v + J u.
-    """
-    alpha, beta = local_quadratic(gamma_k, energy_k, convention)
-    curv = alpha + sum(incoming_a)
-    if not curv < 0:
-        raise ConcavityError(node)
-    lin = beta
-    for b_in in incoming_b:
-        lin = lin + b_in
-    a_out = curv * v * v + coupling * v
-    b_out = 2.0 * curv * u * v + lin * v + coupling * u
-    return float(a_out), b_out
+    v = float(-coupling / (2.0 * curv))
+    return (u, v), (float(curv * v * v + coupling * v),
+                    2.0 * curv * u * v + lin * v + coupling * u)
 
 
 @dataclass(frozen=True)
@@ -146,42 +134,30 @@ def run(instance: QuadraticInstance, gamma, rounds: int) -> QuadraticState:
 
     gamma is (N,) or (N, P); P probe columns run in one pass.  Round r's
     estimates use messages of round r-1, so rounds = 0 leaves lambda = gamma.
-    The rounds follow `graph.message_schedule`, as in
-    `discrete.run_messages`: each needed (edge, round) value is computed
-    once, in round order, with incoming messages summed in ascending
-    neighbour order, and the result equals a flood of `rounds` rounds bit
-    for bit.
+    The rounds run on `graph.run_schedule`, as in `discrete.run_messages`:
+    each needed (edge, round) value is computed once, in round order, with
+    incoming messages summed in ascending neighbour order, and the result
+    equals a flood of `rounds` rounds bit for bit.  `rounds` must be a
+    nonnegative integer.
     """
-    if not _is_integer(rounds) or rounds < 0:
-        raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
     top = instance.topology
     g = np.asarray(gamma, dtype=float)
     if g.shape[0] != top.node_count:
         raise ValueError("gamma row count != node count")
     zeros_like_g = np.zeros(g.shape[1:]) if g.ndim > 1 else 0.0
-    edges = top.directed_edges()
-    messages: Dict[Tuple[int, int], Tuple[float, np.ndarray]] = {
-        e: (0.0, zeros_like_g) for e in edges}
-    estimates: Dict[Tuple[int, int], Tuple[np.ndarray, float]] = {}
-    for batch in message_schedule(top, rounds):
-        new_messages = {}
-        for e, feeders in batch:
-            k = e[0]
-            gamma_k = g[k - 1]
-            energy_k = instance.energies[k - 1]
-            coupling = instance.params.coupling(*e)
-            inc_a = [messages[f][0] for f in feeders]
-            inc_b = [messages[f][1] for f in feeders]
-            u, v = affine_step(gamma_k, energy_k, coupling, inc_a, inc_b,
-                               instance.convention, node=k)
-            estimates[e] = (u, v)
-            new_messages[e] = quad_from_affine(
-                u, v, gamma_k, energy_k, coupling, inc_a, inc_b,
-                instance.convention, node=k)
-        messages.update(new_messages)
+
+    def step(e, incoming):
+        k = e[0]
+        return _edge_step(g[k - 1], instance.energies[k - 1],
+                          instance.params.coupling(*e),
+                          [m[0] for _, m in incoming], [m[1] for _, m in incoming],
+                          instance.convention, k)
+
+    # each edge carries ((u, v), (a, b)); no estimate before its first round
+    final = run_schedule(top, rounds, (None, (0.0, zeros_like_g)), step)
     return QuadraticState(rounds,
-                          {e: estimates[e] for e in edges if e in estimates},
-                          messages)
+                          {e: est for e, (est, _) in final.items() if est is not None},
+                          {e: msg for e, (_, msg) in final.items()})
 
 
 def decision_variables(instance: QuadraticInstance, state: QuadraticState,

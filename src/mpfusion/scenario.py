@@ -30,7 +30,9 @@ The analytic route to a linear rule's mixture is `scenario_stats` ->
 `performance.ComponentMoments.stats_for_row`, the one-row case of the single
 push-forward `stats_for_rows`; `stats_for_weights` applies it to a whole
 weight matrix.  The sampled route, `empirical_conditional_stats`, fits cells
-with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.
+with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.  All
+three split their cells (patterns or label cells) by hypothesis with the one
+`performance.ComponentMoments.from_cells`.
 """
 
 from __future__ import annotations
@@ -444,26 +446,13 @@ def moments_from_scenario(stats: ScenarioStats) -> dict:
     Conditional on an activity pattern the scores are independent Gaussians,
     so each live pattern with x_j = v is one exact mixture component of node
     j under hypothesis v, weighted by its renormalized stationary
-    probability.  Patterns with zero stationary probability are dropped; if
-    a node has no mass on one hypothesis (e.g. perpetually occupied), that
-    node raises.
+    probability (`ComponentMoments.from_cells` with the patterns as cells).
+    Patterns with zero stationary probability are dropped; if a node has no
+    mass on one hypothesis (e.g. perpetually occupied), that node raises.
     """
-    out = {}
-    n = stats.config.node_count
-    live = stats.probs > 0
-    for j in range(1, n + 1):
-        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
-        for v in (-1, 1):
-            sel = live & (stats.x_table[j - 1] == v)
-            total = stats.probs[sel].sum()
-            if total <= 0:
-                raise ValueError(
-                    f"node {j} never has state {v:+d} under this scenario")
-            weights_by_v[v] = stats.probs[sel] / total
-            means_by_v[v] = stats.gamma_mean[:, sel].T.copy()
-            vars_by_v[v] = stats.gamma_var[:, sel].T.copy()
-        out[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
-    return out
+    return {j: ComponentMoments.from_cells(j, stats.x_table[j - 1], stats.probs,
+                                           stats.gamma_mean.T, stats.gamma_var.T)
+            for j in range(1, stats.config.node_count + 1)}
 
 
 def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
@@ -521,11 +510,12 @@ def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,
                                 min_cell: int = 5) -> dict:
     """Fit per-pattern Gaussian components to sampled decision variables.
 
-    For each node and hypothesis, slots are split by the activity pattern;
-    each cell contributes one component with its sample mean/std and its
-    relative frequency.  Cells thinner than `min_cell` slots (at least 2)
-    or without spread are folded away (dropped and the rest renormalized)
-    by `_cell_moments`, the fit `optimizer.blind_adapt` also uses.
+    For each node, slots are split by hypothesis and activity pattern; each
+    cell contributes one component with its sample mean/std and its
+    relative frequency within its hypothesis (`ComponentMoments.from_cells`).
+    Cells thinner than `min_cell` slots (at least 2) or without spread are
+    folded away (dropped and the rest renormalized) by `_cell_moments`, the
+    fit `optimizer.blind_adapt` also uses.
     """
     lam = np.asarray(lam, dtype=float)
     n, slots = lam.shape
@@ -537,23 +527,19 @@ def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,
     patterns = activity.astype(np.int64) @ (1 << np.arange(p))
     out = {}
     for j in range(1, n + 1):
-        # the state bit above the pattern bits puts state -1's cells first
-        codes, counts, means, variances = _cell_moments(
-            lam[j - 1:j], np.where(x[j - 1] == 1, patterns + (1 << p), patterns),
-            min_cell)
-        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
         for v in (-1, 1):
             if not np.any(x[j - 1] == v):
                 raise ValueError(
                     f"no calibration slots with node {j} in state {v:+d}")
-            sel = (codes >> p) == (v == 1)
-            if not sel.any():
-                raise ValueError(
-                    f"all calibration cells for node {j}, state {v:+d} too thin")
-            weights_by_v[v] = counts[sel] / counts[sel].sum()
-            means_by_v[v] = means[sel, 0]
-            stds_by_v[v] = np.sqrt(variances[sel, 0])
-        out[j] = ConditionalStats(j, weights_by_v, means_by_v, stds_by_v)
+        # the state bit above the pattern bits puts state -1's cells first
+        codes, counts, means, variances = _cell_moments(
+            lam[j - 1:j], np.where(x[j - 1] == 1, patterns + (1 << p), patterns),
+            min_cell)
+        cm = ComponentMoments.from_cells(j, np.where(codes >> p, 1, -1), counts,
+                                         means, variances)
+        out[j] = ConditionalStats(j, cm.weights,
+                                  {v: cm.means[v][:, 0] for v in (-1, 1)},
+                                  {v: np.sqrt(cm.variances[v][:, 0]) for v in (-1, 1)})
     return out
 
 

@@ -115,13 +115,6 @@ def energy_moments(active_energy: float, noise_var: float, sample_count: int,
     return mean, var
 
 
-def snr_to_energy(snr_db: float, noise_var: float, sample_count: int) -> float:
-    """Window energy E = K * noise_var * 10^(snr_db/10)."""
-    _check_noise(noise_var)
-    _check_samples(sample_count)
-    return sample_count * noise_var * 10.0 ** (snr_db / 10.0)
-
-
 def _check_noise(noise_var: float) -> None:
     if not (noise_var > 0 and np.isfinite(noise_var)):
         raise ValueError("noise variance must be positive and finite")

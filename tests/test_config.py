@@ -12,7 +12,6 @@ from mpfusion.config import (
     RunConfig,
     from_dict,
     load,
-    save,
     to_dict,
 )
 from mpfusion.scenario import ScenarioConfig
@@ -175,11 +174,8 @@ def test_evaluation_block_validation():
 def test_save_load_round_trip(tmp_path):
     cfg = RunConfig(seed=99, evaluation=EvaluationBlock(methods=("mp1.0",)))
     path = tmp_path / "run.json"
-    save(cfg, path)
+    path.write_text(json.dumps(to_dict(cfg), indent=2))
     assert load(path) == cfg
-    text = path.read_text()
-    assert text.endswith("\n")
-    assert json.loads(text)["seed"] == 99
 
 
 def test_load_bad_json_reports_file(tmp_path):

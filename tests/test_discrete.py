@@ -22,16 +22,15 @@ from mpfusion.discrete import (
     SUM_PRODUCT,
     _clamp_transfer,
     coefficient_from_coupling,
-    contraction_bound,
     decide,
     decision_variables,
     linearized_coefficients,
     run_messages,
     s_transfer,
 )
-from mpfusion.graph import (MrfParams, Topology, chain, feeder_edges, star,
-                            uniform_params)
-from mpfusion.optimizer import ContractionWarning, egc_weights
+from mpfusion.graph import MrfParams, Topology, chain, feeder_edges, star
+from mpfusion.optimizer import ContractionWarning, egc_weights, stability_box
+from helpers import uniform_params
 from strategies import random_graphs
 
 
@@ -347,11 +346,11 @@ def test_linearized_coefficients_follow_convention():
 
 
 def test_contraction_bound_and_violations():
-    assert contraction_bound(chain(5)) == 1.0
-    assert contraction_bound(star(5)) == pytest.approx(1.0 / 3.0)
-    assert contraction_bound(chain(1)) == math.inf
+    # the contraction bound 1/(max degree - 1) is the stability box
+    assert stability_box(chain(5)) == 1.0
+    assert stability_box(star(5)) == pytest.approx(1.0 / 3.0)
     top = star(5)
-    bound = contraction_bound(top)
+    bound = stability_box(top)
     assert all(abs(c) < bound for c in egc_weights(top, 0.33).values())
     with pytest.warns(ContractionWarning):
         coeffs = egc_weights(top, 0.34)

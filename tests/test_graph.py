@@ -22,8 +22,8 @@ from mpfusion.graph import (
     message_schedule,
     neighbors,
     star,
-    uniform_params,
 )
+from helpers import uniform_params
 from strategies import random_graphs
 
 
@@ -90,6 +90,43 @@ def test_self_loop_rejected():
 def test_out_of_range_node_rejected():
     with pytest.raises(ValueError):
         Topology(node_count=3, edges=((1, 4),))
+
+
+@pytest.mark.parametrize("node_count,edges", [
+    (True, ()),
+    (3.0, ((1, 2),)),
+    (3, ((1.5, 2),)),
+    (3, ((1, 2.0),)),
+    (3, ((True, 2),)),
+], ids=["bool-count", "float-count", "fractional-id", "integral-float-id",
+        "bool-id"])
+def test_non_integer_counts_and_ids_rejected(node_count, edges):
+    with pytest.raises(ValueError):
+        Topology(node_count, edges)
+
+
+def test_numpy_integer_counts_and_ids_accepted():
+    top = Topology(np.int64(3), ((np.int64(1), np.int32(2)), (2, 3)))
+    assert top.edges == ((1, 2), (2, 3))
+    assert neighbors(top, 2) == (1, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(top=random_graphs(max_extra_edges=3))
+def test_adjacency_matches_a_scan_of_the_edge_list(top):
+    scan = {n: tuple(sorted([b for a, b in top.edges if a == n]
+                            + [a for a, b in top.edges if b == n]))
+            for n in top.nodes}
+    assert top.adjacency == scan
+    assert all(neighbors(top, n) == scan[n] for n in top.nodes)
+    if top.edges:
+        assert max_degree(top) == max(len(v) for v in scan.values())
+    want = {}
+    for k, j in top.directed_edges():
+        want[(k, j)] = tuple((n, k) for n, m in sorted(top.directed_edges())
+                             if m == k and n != j)
+    assert feeder_edges(top) == want
+    assert list(feeder_edges(top)) == list(top.directed_edges())
 
 
 def test_effective_coupling_conventions():

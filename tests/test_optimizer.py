@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfusion import optimizer, rng
-from mpfusion.graph import Topology, chain, neighbors, star, uniform_params
+from mpfusion.graph import Topology, chain, neighbors, star
 from mpfusion.optimizer import (
     BlindResult,
     ComponentMoments,
@@ -332,18 +332,19 @@ def test_blind_adapt_rejects_one_slot_cells():
 
 def _blind_moments_oracle(g, labels, top, min_cell):
     """The per-pattern masked fit: np.unique over the one-hop label columns
-    of each class, then one boolean mask over all slots per cell."""
+    of each class, then one boolean mask over all slots per cell.  A node
+    missing a class fails before any of its cells is fitted."""
     n = g.shape[0]
     moments = {}
     for j in top.nodes:
+        if np.unique(labels[j - 1]).size < 2:
+            raise ValueError(
+                f"blind labels give node {j} only one class; cannot adapt")
         local = np.array([j] + list(neighbors(top, j)))
         keys = labels[[k - 1 for k in local]]
         weights_by_v, means_by_v, vars_by_v = {}, {}, {}
         for v in (-1, 1):
             sel = labels[j - 1] == v
-            if not np.any(sel):
-                raise ValueError(
-                    f"blind labels give node {j} only one class; cannot adapt")
             cells = []
             patterns = np.unique(keys[:, sel], axis=1)
             for col in range(patterns.shape[1]):
@@ -362,7 +363,7 @@ def _blind_moments_oracle(g, labels, top, min_cell):
                 cells.append((count, mean_vec, var_vec))
             if not cells:
                 raise ValueError(
-                    f"all blind cells for node {j}, label {v:+d} too thin")
+                    f"node {j} has no cell with mass in state {v:+d}")
             counts = np.array([c for c, _, _ in cells], dtype=float)
             weights_by_v[v] = counts / counts.sum()
             means_by_v[v] = np.stack([m for _, m, _ in cells])

@@ -203,3 +203,26 @@ def test_conditioned_samples_deterministic():
     b, _, pb = conditioned_samples(cfg, "sum_product", (0, 1), 40, seed=31)
     np.testing.assert_array_equal(a, b)
     assert pa.couplings == pb.couplings
+
+
+@pytest.mark.parametrize("iterations", [2.5, 2.0, True, -1],
+                         ids=["fractional", "integral-float", "bool", "negative"])
+def test_engine_rounds_must_be_nonnegative_integers(iterations):
+    cfg = _small_cfg()
+    with pytest.raises(ValueError, match="iterations"):
+        evaluate_cell(cfg, ("local",), 5, iterations=iterations,
+                      training_slots=50, calibration_slots=50, eval_slots=50)
+    with pytest.raises(ValueError, match="iterations"):
+        conditioned_samples(cfg, "max_product", (1, 0), 20, seed=32,
+                            iterations=iterations)
+
+
+def test_engine_rounds_default_to_node_count_minus_one():
+    cfg = _small_cfg()
+    default, _, _ = conditioned_samples(cfg, "max_product", (1, 1), 40, seed=33)
+    four, _, _ = conditioned_samples(cfg, "max_product", (1, 1), 40, seed=33,
+                                     iterations=np.int64(4))
+    three, _, _ = conditioned_samples(cfg, "max_product", (1, 1), 40, seed=33,
+                                      iterations=3)
+    np.testing.assert_array_equal(default, four)
+    assert not np.array_equal(default, three)

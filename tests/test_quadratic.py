@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.graph import MrfParams, chain, feeder_edges, star, uniform_params
+from mpfusion.graph import MrfParams, chain, feeder_edges, neighbors, star
 from mpfusion.quadratic import (
     EXACT,
     PAPER,
@@ -26,15 +26,15 @@ from mpfusion.quadratic import (
     FusionWeights,
     QuadraticInstance,
     QuadraticState,
-    affine_step,
+    _edge_step,
     decision_variables,
     extract_weights,
     local_quadratic,
     mrc_probe,
-    quad_from_affine,
     run,
     verify_linearity,
 )
+from helpers import uniform_params
 from strategies import random_graphs
 
 
@@ -91,10 +91,8 @@ def _flood_run(instance, gamma, rounds):
             args = (g[k - 1], instance.energies[k - 1], instance.params.coupling(*e))
             inc_a = [messages[f][0] for f in feeders[e]]
             inc_b = [messages[f][1] for f in feeders[e]]
-            u, v = affine_step(*args, inc_a, inc_b, instance.convention, node=k)
-            estimates[e] = (u, v)
-            new_messages[e] = quad_from_affine(u, v, *args, inc_a, inc_b,
-                                               instance.convention, node=k)
+            estimates[e], new_messages[e] = _edge_step(
+                *args, inc_a, inc_b, instance.convention, k)
         messages = new_messages
     return estimates, messages
 
@@ -116,13 +114,13 @@ def test_local_quadratic_conventions():
 
 def test_init_affine_paper_matches_published_form():
     # u1 = 2 gamma / E - 1, v1 = 2 J / E
-    u, v = affine_step(0.7, 10.0, 0.3, [], [], PAPER)
+    (u, v), _ = _edge_step(0.7, 10.0, 0.3, [], [], PAPER, 1)
     assert u == pytest.approx(2 * 0.7 / 10.0 - 1.0, abs=1e-15)
     assert v == pytest.approx(2 * 0.3 / 10.0, abs=1e-15)
 
 
 def test_init_affine_exact_convention():
-    u, v = affine_step(0.7, 10.0, 0.3, [], [], EXACT)
+    (u, v), _ = _edge_step(0.7, 10.0, 0.3, [], [], EXACT, 1)
     assert u == pytest.approx(4 * 0.7 / (2 * 10.0), abs=1e-15)
     assert v == pytest.approx(4 * 0.3 / 10.0, abs=1e-15)
 
@@ -171,6 +169,28 @@ def test_round2_closed_form_star_hub():
         assert v_got == pytest.approx(v_want, abs=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(top=random_graphs(), seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_round2_closed_forms_on_random_trees(top, seed):
+    # every directed edge of a random tree of up to 8 nodes, each with its
+    # own coupling, against the long-hand second round
+    gen = rng.stream(seed, rng.GENERIC, top.node_count)
+    n = top.node_count
+    g = gen.uniform(-3, 3, n)
+    # |J| <= 0.5 and E >= 4 keep every curvature negative at degree 7
+    e = gen.uniform(4.0, 30.0, n)
+    couplings = {edge: float(gen.uniform(-0.5, 0.5)) for edge in top.edges}
+    inst = QuadraticInstance(top, MrfParams(top, couplings), tuple(e), PAPER)
+    state = run(inst, g, 2)
+    assert list(state.estimates) == list(top.directed_edges())
+    for k, j in top.directed_edges():
+        others = tuple(m for m in neighbors(top, k) if m != j)
+        u_want, v_want = _closed_form_round2(g, e, couplings, k, j, others)
+        u_got, v_got = state.estimates[(k, j)]
+        assert float(u_got) == pytest.approx(u_want, rel=1e-12, abs=1e-12)
+        assert v_got == pytest.approx(v_want, rel=1e-12, abs=1e-12)
+
+
 # ----------------------------------------------------- numeric maximization
 
 
@@ -189,7 +209,7 @@ def test_affine_step_is_the_numeric_maximizer(gamma, energy, coupling, xj,
                                               a_in, b_in):
     convention = PAPER
     alpha, beta = local_quadratic(gamma, energy, convention)
-    u, v = affine_step(gamma, energy, coupling, [a_in], [b_in], convention)
+    (u, v), _ = _edge_step(gamma, energy, coupling, [a_in], [b_in], convention, 1)
     curv = alpha + a_in
     lin = beta + b_in + coupling * xj
 
@@ -217,8 +237,7 @@ def test_outgoing_quadratic_matches_plugged_in_objective():
         a_in = gen.uniform(0.0, 0.2)
         b_in = gen.uniform(-0.5, 0.5)
         alpha, beta = local_quadratic(g, e, PAPER)
-        u, v = affine_step(g, e, jv, [a_in], [b_in], PAPER)
-        a_out, b_out = quad_from_affine(u, v, g, e, jv, [a_in], [b_in], PAPER)
+        (u, v), (a_out, b_out) = _edge_step(g, e, jv, [a_in], [b_in], PAPER, 1)
 
         def objective(xj):
             curv = alpha + a_in

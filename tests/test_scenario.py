@@ -8,7 +8,8 @@ same tail probabilities — each route vouches for the other.
 
 The vectorised hot paths are pinned to the loops they replaced, kept here as
 oracles: the per-slot activity step, the per-entry transition kernel, the
-masked per-cell calibration fit and the per-sample sensing statistics.
+masked per-cell calibration fit, the masked per-node split of the exact
+pattern components and the per-sample sensing statistics.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.performance import ConditionalStats, gfun
+from mpfusion.performance import ComponentMoments, ConditionalStats, gfun
 from mpfusion.scenario import (
     Campaign,
     ScenarioConfig,
@@ -27,6 +28,7 @@ from mpfusion.scenario import (
     draw_activity,
     empirical_conditional_stats,
     link_amplitudes,
+    moments_from_scenario,
     node_states,
     nominal_templates,
     pu_configs,
@@ -44,7 +46,6 @@ from mpfusion.sensing import (
     gen_observations,
     llr_energy,
     llr_matched,
-    snr_to_energy,
 )
 
 
@@ -72,7 +73,7 @@ def test_link_amplitudes_square_to_snr():
     table = snr_assignment(cfg)
     amps = link_amplitudes(cfg)
     for (j, p), snr in table.items():
-        e = snr_to_energy(snr, cfg.noise_var, cfg.sample_count)
+        e = cfg.sample_count * cfg.noise_var * 10.0 ** (snr / 10.0)
         assert amps[j - 1, p - 1] ** 2 * cfg.sample_count == pytest.approx(e)
     assert amps[3, 0] == 0.0  # node 4 outside transmitter 1's footprint
 
@@ -439,6 +440,57 @@ def test_two_calibration_routes_agree_on_linear_rule():
                         p_ana * (1 - p_ana) / slots + 1e-6) + 0.01
 
 
+def _moments_from_scenario_oracle(stats):
+    """The masked per-node split: one boolean mask over the live patterns
+    per (node, hypothesis)."""
+    out = {}
+    live = stats.probs > 0
+    for j in range(1, stats.config.node_count + 1):
+        weights_by_v, means_by_v, vars_by_v = {}, {}, {}
+        for v in (-1, 1):
+            sel = live & (stats.x_table[j - 1] == v)
+            total = stats.probs[sel].sum()
+            if total <= 0:
+                raise ValueError(
+                    f"node {j} has no cell with mass in state {v:+d}")
+            weights_by_v[v] = stats.probs[sel] / total
+            means_by_v[v] = stats.gamma_mean[:, sel].T.copy()
+            vars_by_v[v] = stats.gamma_var[:, sel].T.copy()
+        out[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(rho_db=-5.0, delta_rho_db=1.0),
+    ScenarioConfig(rho_db=-12.0, delta_rho_db=-1.2, sensing_mode="matched"),
+    _tree_config(),
+    # every slot copies one common draw: patterns (1, 0) and (0, 1) never occur
+    ScenarioConfig(coupling=1.0),
+    ScenarioConfig(coupling=1.0, sensing_mode="matched"),
+], ids=["energy-chain", "matched-chain", "matched-tree", "energy-zero-prob",
+        "matched-zero-prob"])
+def test_moments_from_scenario_match_masked_split(cfg):
+    stats = scenario_stats(cfg)
+    got, want = moments_from_scenario(stats), _moments_from_scenario_oracle(stats)
+    assert got.keys() == want.keys()
+    for j in want:
+        for v in (-1, 1):
+            for field in ("weights", "means", "variances"):
+                a, b = getattr(got[j], field)[v], getattr(want[j], field)[v]
+                np.testing.assert_array_equal(a, b)
+                assert a.flags["C_CONTIGUOUS"]
+
+
+def test_moments_from_scenario_never_idle_node_raises_as_masked_split():
+    # duty cycle 1 makes the all-on pattern absorbing: no node is ever idle
+    stats = scenario_stats(ScenarioConfig(on_prob=(1.0, 1.0), coupling=0.0))
+    with pytest.raises(ValueError) as got:
+        moments_from_scenario(stats)
+    with pytest.raises(ValueError) as want:
+        _moments_from_scenario_oracle(stats)
+    assert str(got.value) == str(want.value)
+
+
 def test_stats_for_weights_never_on_node_raises():
     # duty cycle 1 makes the all-on pattern absorbing: node states are
     # never -1, so conditioning on the idle hypothesis is impossible
@@ -479,17 +531,19 @@ def test_empirical_stats_reject_states_other_than_pm1():
 
 def _empirical_stats_oracle(lam, x, activity, min_cell):
     """The per-cell masked fit: one boolean mask over all slots per
-    (node, hypothesis, pattern) cell."""
+    (node, hypothesis, pattern) cell.  A node without slots in one state
+    fails before any of its cells is fitted."""
     n = lam.shape[0]
     labels = activity.astype(np.int64) @ (1 << np.arange(activity.shape[1]))
     out = {}
     for j in range(1, n + 1):
+        for v in (-1, 1):
+            if int(np.sum(x[j - 1] == v)) == 0:
+                raise ValueError(
+                    f"no calibration slots with node {j} in state {v:+d}")
         weights_by_v, means_by_v, stds_by_v = {}, {}, {}
         for v in (-1, 1):
             sel = x[j - 1] == v
-            if int(sel.sum()) == 0:
-                raise ValueError(
-                    f"no calibration slots with node {j} in state {v:+d}")
             cells = []
             for lab in np.unique(labels[sel]):
                 cell = sel & (labels == lab)
@@ -503,7 +557,7 @@ def _empirical_stats_oracle(lam, x, activity, min_cell):
                 cells.append((count, float(np.mean(samples)), sd))
             if not cells:
                 raise ValueError(
-                    f"all calibration cells for node {j}, state {v:+d} too thin")
+                    f"node {j} has no cell with mass in state {v:+d}")
             counts = np.array([c for c, _, _ in cells], dtype=float)
             weights_by_v[v] = counts / counts.sum()
             means_by_v[v] = np.array([m for _, m, _ in cells])
@@ -572,10 +626,9 @@ def test_with_rho_rebuilds_config():
     assert moved.rho_db == -9.0
     assert moved.delta_rho_db == 0.9
     assert moved.coverage == cfg.coverage
-    # energies actually move
-    e_old = snr_to_energy(-5.0, 1.0, 100)
-    e_new = snr_to_energy(-9.0, 1.0, 100)
-    assert e_new < e_old
+    # link energies actually move
+    assert np.all(link_amplitudes(moved) <= link_amplitudes(cfg))
+    assert np.any(link_amplitudes(moved) < link_amplitudes(cfg))
 
 
 def test_energy_moments_feed_scenario_stats():
