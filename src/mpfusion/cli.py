@@ -270,8 +270,7 @@ def cmd_optimize(args) -> int:
     stats = scenario.scenario_stats(scn)
     moments = scenario.moments_from_scenario(stats)
 
-    hood = {j: optimizer.optimize_p2(moments[j], top, j, scn.far, seed=cfg.seed)
-            for j in top.nodes}
+    hood = optimizer.neighbourhood_designs(moments, top, scn.far, seed=cfg.seed)
     network = optimizer.optimize_p1(moments, top, scn.far, hood, seed=cfg.seed)
 
     payload = {
@@ -298,7 +297,8 @@ def cmd_optimize(args) -> int:
             "label_accuracy_final": blind.final_accuracy,
             "solutions": {str(j): {"coefficients": s.coefficients,
                                    "threshold": s.threshold,
-                                   "pd": s.pd}
+                                   "pd": s.pd,
+                                   "converged": s.converged}
                           for j, s in blind.solutions.items()},
         }
     _write_json(os.path.join(out, "solution.json"), payload)

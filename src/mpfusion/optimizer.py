@@ -10,15 +10,17 @@ same coefficients can also drive the iterated linear engine.  The network
 problem ("P1-style") tunes a full weight row per node at the same pinned
 rate, inside [-2, 2] off the unit diagonal.
 
-Both designs run one row search, `_search_row`: cyclic coordinate ascent
-from a list of starts, keeping the best point, whose row is then priced once
-for its threshold, Pf and Pd.  Each line search scans 21 points across the
-box, then re-scans 21 points on [best - step, best + step] (clipped to the
-box) until the grid step is at most `_LINE_TOL`; P2's coarse start grid is
-one more scan.  Every scan is one batch: the design objective prices G
-candidate rows at once through `performance.ComponentMoments.stats_for_rows`,
-the single push-forward from linear rules to Gaussian mixtures, and
-`performance.solve_thresholds`, which pins all G false-alarm rates together.
+Both designs run one row search, `_search_rows`: cyclic coordinate ascent
+on the model Pd from every (node, start) pair in lockstep, where each scan
+prices the 21-point grids of all live pairs in one batch through
+`performance.ComponentBank.stats_for_rows`, the single push-forward from
+linear rules to Gaussian mixtures over the nodes' components padded to one
+count, and `performance.solve_thresholds`, which pins every false-alarm rate
+of the batch at once.  Each pair keeps its own ascent state, so its path is
+the one it would take alone.  `optimize_p1` runs all nodes in one search;
+`neighbourhood_designs` runs the nodes of each degree in one search, after
+pricing their coarse start grids in one batch, and `optimize_p2` is its
+one-node case.
 P1 seeds each row with that node's P2 design, which the caller passes in, so
 a cell solves every neighbourhood design once.  Exact components come from
 `scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import rng
 from .graph import MrfParams, Topology, max_degree, neighbors
-from .performance import ComponentMoments, mixture_tail, solve_thresholds
+from .performance import ComponentBank, ComponentMoments, mixture_tail, solve_thresholds
 from .scenario import _cell_moments
 
 _COARSE_POINTS = 11
@@ -92,11 +94,12 @@ class P2Solution:
     converged: bool
 
 
-def _price_rows(moments: ComponentMoments, indices, coefficients, alpha: float):
-    """Mixtures of the G rules with own weight one before the (G, d)
-    `coefficients`, and their thresholds (G,) at false-alarm rate alpha."""
-    mix = moments.stats_for_rows(
-        indices, np.hstack((np.ones((len(coefficients), 1)), coefficients)))
+def _price(bank: ComponentBank, nodes, indices, coefficients, alpha: float):
+    """Mixtures of the G rules of nodes[g] with own weight one before the
+    (G, d) `coefficients` over the scores indices[g], and their thresholds
+    (G,) at false-alarm rate alpha."""
+    mix = bank.stats_for_rows(
+        nodes, indices, np.hstack((np.ones((len(coefficients), 1)), coefficients)))
     return mix, solve_thresholds(*mix[-1], alpha)
 
 
@@ -109,76 +112,128 @@ def stability_box(top: Topology) -> float:
     return _UNBOUNDED_BOX if d <= 1 else 1.0 / (d - 1)
 
 
-def _line_search(fun, i: int, point: np.ndarray, lo: float, hi: float):
-    """Maximize fun over coordinate i: a scan of [lo, hi], then re-scans of
-    [best - step, best + step] clipped to [lo, hi] until the grid step is at
-    most _LINE_TOL.  `fun` maps a (G, d) batch of points to (G,) values.
-    Leaves the best coordinate in point[i] and returns its value."""
-    a, b = lo, hi
-    best_val, best_c = -np.inf, point[i]
-    batch = np.repeat(point[None], _SCAN_POINTS, axis=0)
-    while True:
-        grid = np.linspace(a, b, _SCAN_POINTS)
-        batch[:, i] = grid
-        vals = fun(batch)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_c = float(vals[k]), grid[k]
-        step = grid[1] - grid[0]
-        if step <= _LINE_TOL:
-            break
-        a, b = max(lo, best_c - step), min(hi, best_c + step)
-    point[i] = best_c
-    return best_val
+def _search_rows(bank: ComponentBank, jobs, alpha: float, box: float) -> list:
+    """Best rows of coordinate ascent on the model Pd, every job in lockstep.
 
-
-def _coordinate_ascent(fun, start: np.ndarray, box: float):
-    """Cyclic coordinate ascent inside [-box, box]^d; returns (point, value,
-    converged)."""
-    point = start.copy()
-    value = float(fun(point[None])[0])
-    if point.size == 0:
-        return point, value, True
-    for _ in range(_MAX_SWEEPS):
-        moved = 0.0
-        for i in range(point.size):
-            before = point[i]
-            new_val = _line_search(fun, i, point, -box, box)
-            if new_val >= value:
-                value = new_val
-            else:               # never step downhill
-                point[i] = before
-            moved = max(moved, abs(point[i] - before))
-        if moved < _STEP_TOL:
-            return point, value, True
-    return point, value, False
-
-
-def _search_row(moments: ComponentMoments, indices, alpha: float, starts,
-                box: float):
-    """Best row of coordinate ascent on the model Pd from each start.
-
-    Ascent runs inside [-box, box]^d; the first start wins ties.  The kept
-    row is priced once at false-alarm rate alpha.  Returns (coefficients,
-    converged, tau, pf, pd, evaluations).
+    A job is (node, indices, starts): the rule of `node` weighs the score of
+    indices[0] (the node's own) with one and the d scores of indices[1:]
+    with free coefficients in [-box, box]; every job has the same d.  Each
+    (job, start) pair runs cyclic coordinate ascent.  A line search scans
+    21 points of [-box, box], then re-scans 21 points of
+    [best - step, best + step] (clipped to the box) until the grid step is
+    at most `_LINE_TOL`; a coordinate keeps its scan's best point only when
+    that is not below the pair's value (never step downhill), and a pair
+    stops after a sweep that moves no coordinate by `_STEP_TOL` (converged)
+    or after `_MAX_SWEEPS` sweeps (not converged).  Every scan prices the
+    grids of all live pairs in one batch.  Per job, the first start wins
+    ties, and the kept row is priced once at false-alarm rate alpha.
+    Returns one (coefficients, converged, tau, pf, pd, evaluations) per job.
     """
-    evals = 0
+    nodes = np.array([node for node, _, _ in jobs])
+    cols = np.array([indices for _, indices, _ in jobs], dtype=np.intp)
+    dim = cols.shape[1] - 1
+    owner = np.array([k for k, (_, _, starts) in enumerate(jobs) for _ in starts])
+    point = np.array([s for _, _, starts in jobs for s in starts],
+                     dtype=float).reshape(len(owner), dim)
+    pairs = np.arange(len(owner))
 
-    def fun(batch):
-        nonlocal evals
-        evals += len(batch)
-        mix, tau = _price_rows(moments, indices, batch, alpha)
+    def pd_of(who, batch):
+        mix, tau = _price(bank, nodes[owner[who]], cols[owner[who]], batch, alpha)
         return mixture_tail(*mix[1], tau)
 
-    best_point, best_val, converged = np.asarray(starts[0], dtype=float), -np.inf, True
-    for start in starts:
-        point, val, ok = _coordinate_ascent(fun, np.asarray(start, dtype=float), box)
-        if val > best_val:
-            best_point, best_val, converged = point, val, ok
+    value = pd_of(pairs, point)
+    evals = np.ones(len(owner), dtype=np.int64)
+    live, converged = np.full(len(owner), dim > 0), np.full(len(owner), True)
+    coord = np.zeros(len(owner), dtype=np.intp)
+    sweeps = np.zeros(len(owner), dtype=np.intp)
+    moved = np.zeros(len(owner))
+    lo, hi = np.full(len(owner), -box), np.full(len(owner), box)
+    line_best = np.full(len(owner), -np.inf)
+    before = point[:, 0].copy() if dim else np.zeros(len(owner))
+    line_arg = before.copy()
+    steps = np.arange(_SCAN_POINTS)
+    while live.any():
+        act = pairs[live]
+        rows = np.arange(act.size)[:, None]
+        grid = steps * ((hi[act] - lo[act]) / (_SCAN_POINTS - 1))[:, None] + lo[act, None]
+        grid[:, -1] = hi[act]
+        batch = np.repeat(point[act, None], _SCAN_POINTS, axis=1)
+        batch[rows, steps, coord[act, None]] = grid
+        vals = pd_of(np.repeat(act, _SCAN_POINTS), batch.reshape(-1, dim))
+        vals = vals.reshape(act.size, _SCAN_POINTS)
+        evals[act] += _SCAN_POINTS
+        k = vals.argmax(axis=1)
+        peak, at = vals[rows[:, 0], k], grid[rows[:, 0], k]
+        better = peak > line_best[act]
+        line_best[act] = np.where(better, peak, line_best[act])
+        line_arg[act] = np.where(better, at, line_arg[act])
+        step = grid[:, 1] - grid[:, 0]
+        lo[act] = np.maximum(-box, line_arg[act] - step)
+        hi[act] = np.minimum(box, line_arg[act] + step)
 
-    mix, tau = _price_rows(moments, indices, best_point[None], alpha)
-    return (best_point, converged, float(tau[0]), float(mixture_tail(*mix[-1], tau)[0]),
-            float(mixture_tail(*mix[1], tau)[0]), evals)
+        done = act[step <= _LINE_TOL]           # line searches that end here
+        i = coord[done]
+        uphill = line_best[done] >= value[done]
+        value[done] = np.where(uphill, line_best[done], value[done])
+        point[done, i] = np.where(uphill, line_arg[done], before[done])
+        moved[done] = np.maximum(moved[done], np.abs(point[done, i] - before[done]))
+        coord[done] += 1
+        swept = done[coord[done] == dim]
+        sweeps[swept] += 1
+        settled = moved[swept] < _STEP_TOL
+        capped = ~settled & (sweeps[swept] >= _MAX_SWEEPS)
+        live[swept[settled | capped]] = False
+        converged[swept[capped]] = False
+        coord[swept], moved[swept] = 0, 0.0
+        fresh = done[live[done]]                # start their next line search
+        before[fresh] = line_arg[fresh] = point[fresh, coord[fresh]]
+        lo[fresh], hi[fresh], line_best[fresh] = -box, box, -np.inf
+
+    # per job, the first of its pairs with the highest value
+    ends = np.cumsum([len(starts) for _, _, starts in jobs])
+    best = [a + int(np.argmax(value[a:b]))
+            for a, b in zip(np.concatenate(([0], ends[:-1])), ends)]
+    mix, tau = _price(bank, nodes, cols, point[best], alpha)
+    pf, pd = mixture_tail(*mix[-1], tau), mixture_tail(*mix[1], tau)
+    return [(point[p], bool(converged[p]), float(tau[k]), float(pf[k]), float(pd[k]),
+             int(evals[owner == k].sum())) for k, p in enumerate(best)]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
+def _neighbourhood_group(moments: dict, top: Topology, group, alpha: float,
+                         seed: int | None) -> dict:
+    """`optimize_p2` designs of the nodes of `group`, which share a degree,
+    from one lockstep search; node -> P2Solution."""
+    dim = len(neighbors(top, group[0]))
+    box = stability_box(top) * (1.0 - 1e-9)
+    bank = ComponentBank.stack({j: moments[j] for j in group})
+    cols = np.array([[j] + list(neighbors(top, j)) for j in group], dtype=np.intp)
+
+    starts, grid_evals = {j: [np.zeros(dim)] for j in group}, 0
+    if 0 < dim <= 2:
+        axes = np.linspace(-box, box, _COARSE_POINTS)
+        mesh = np.meshgrid(*([axes] * dim), indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        mix, tau = _price(bank, np.repeat(group, len(grid)), np.repeat(cols, len(grid), axis=0),
+                          np.tile(grid, (len(group), 1)), alpha)
+        pd = mixture_tail(*mix[1], tau).reshape(len(group), len(grid))
+        for j, row in zip(group, pd):
+            starts[j].append(grid[int(np.argmax(row))])
+        grid_evals = len(grid)
+    elif dim > 2:
+        for j in group:
+            gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, j)
+            starts[j] += [gen.uniform(-box, box, size=dim) for _ in range(8)]
+
+    found = _search_rows(bank, [(j, c, starts[j]) for j, c in zip(group, cols)],
+                         alpha, box)
+    return {j: P2Solution(j, dict(zip(c[1:].tolist(), (float(x) for x in point))),
+                          tau, pd, alpha, grid_evals + evals, converged)
+            for j, c, (point, converged, tau, _, pd, evals) in zip(group, cols, found)}
 
 
 def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
@@ -191,30 +246,23 @@ def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
     worse than the plain local detector, because the origin is always one of
     the evaluated candidates and ascent never steps downhill.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    nbrs = neighbors(top, node)
-    dim = len(nbrs)
-    box = stability_box(top) * (1.0 - 1e-9)
-    indices = np.array([node] + list(nbrs))
+    _check_alpha(alpha)
+    return _neighbourhood_group({node: moments}, top, [node], alpha, seed)[node]
 
-    starts, grid_evals = [np.zeros(dim)], 0
-    if 0 < dim <= 2:
-        axes = np.linspace(-box, box, _COARSE_POINTS)
-        mesh = np.meshgrid(*([axes] * dim), indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
-        mix, tau = _price_rows(moments, indices, grid, alpha)
-        starts.append(grid[int(np.argmax(mixture_tail(*mix[1], tau)))])
-        grid_evals = len(grid)
-    elif dim > 2:
-        gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, node)
-        for _ in range(8):
-            starts.append(gen.uniform(-box, box, size=dim))
 
-    point, converged, tau, _, pd, evals = _search_row(moments, indices, alpha,
-                                                      starts, box)
-    return P2Solution(node, dict(zip(nbrs, (float(c) for c in point))),
-                      tau, pd, alpha, grid_evals + evals, converged)
+def neighbourhood_designs(moments: dict, top: Topology, alpha: float,
+                          seed: int | None = None) -> dict:
+    """Node -> `optimize_p2` design for every node of `top`, from its
+    components `moments[node]`.  Nodes of equal degree share one lockstep
+    search; each design equals the node's own `optimize_p2`."""
+    _check_alpha(alpha)
+    groups = {}
+    for j in top.nodes:
+        groups.setdefault(len(neighbors(top, j)), []).append(j)
+    found = {}
+    for group in groups.values():
+        found.update(_neighbourhood_group(moments, top, group, alpha, seed))
+    return {j: found[j] for j in top.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +283,16 @@ def optimize_p1(moments: dict, top: Topology, alpha: float, neighbourhood: dict,
     """Best-effort network design: per-row detection maximization.
 
     Each node's row (own weight one, all other entries free in [-2, 2]) is
-    tuned to maximize detection at false-alarm rate alpha.  `neighbourhood`
-    maps every node to its `optimize_p2` design at that alpha; rows are
-    seeded with it zero-extended, so the result is never worse than that
-    design under the same statistics.  Rows whose kept ascent stopped at the
-    sweep cap before converging are named in `notes`.
+    tuned to maximize detection at false-alarm rate alpha; all rows run in
+    one lockstep search.  `neighbourhood` maps every node to its
+    `optimize_p2` design at that alpha; rows are seeded with it
+    zero-extended, so the result is never worse than that design under the
+    same statistics.  Rows whose kept ascent stopped at the sweep cap before
+    converging are named in `notes`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     n = top.node_count
-    weight_matrix = np.eye(n)
-    thresholds, pf, pd = np.zeros(n), np.zeros(n), np.zeros(n)
-    capped = []
+    jobs = []
     for j in top.nodes:
         hood = neighbourhood.get(j)
         if hood is None:
@@ -257,12 +303,19 @@ def optimize_p1(moments: dict, top: Topology, alpha: float, neighbourhood: dict,
                 f"false-alarm rate {hood.pf_target}, not node {j} at {alpha}")
         others = [i for i in top.nodes if i != j]
         gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, 100 + j)
-        starts = [np.zeros(n - 1),
-                  np.array([hood.coefficients.get(i, 0.0) for i in others]),
-                  np.clip(gen.normal(scale=0.3, size=n - 1), -_P1_BOX, _P1_BOX)]
-        row, converged, thresholds[j - 1], pf[j - 1], pd[j - 1], _ = _search_row(
-            moments[j], np.array([j] + others), alpha, starts, _P1_BOX)
-        weight_matrix[j - 1, np.array(others, dtype=int) - 1] = row
+        jobs.append((j, [j] + others, [
+            np.zeros(n - 1),
+            np.array([hood.coefficients.get(i, 0.0) for i in others]),
+            np.clip(gen.normal(scale=0.3, size=n - 1), -_P1_BOX, _P1_BOX)]))
+    found = _search_rows(ComponentBank.stack({j: moments[j] for j in top.nodes}),
+                         jobs, alpha, _P1_BOX)
+
+    weight_matrix = np.eye(n)
+    thresholds, pf, pd = np.zeros(n), np.zeros(n), np.zeros(n)
+    capped = []
+    for (j, cols, _), (row, converged, tau, pf_j, pd_j, _) in zip(jobs, found):
+        weight_matrix[j - 1, np.array(cols[1:], dtype=int) - 1] = row
+        thresholds[j - 1], pf[j - 1], pd[j - 1] = tau, pf_j, pd_j
         if not converged:
             capped.append(j)
 
@@ -373,6 +426,5 @@ def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
     final_acc = None if truth is None else float(np.mean(labels == truth))
 
     moments = _blind_moments(g, labels, top, min_cell)
-    solutions = {j: optimize_p2(moments[j], top, j, alpha, seed=seed)
-                 for j in top.nodes}
+    solutions = neighbourhood_designs(moments, top, alpha, seed=seed)
     return BlindResult(labels, moments, solutions, init_acc, final_acc)

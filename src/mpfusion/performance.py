@@ -6,9 +6,11 @@ have, conditional on the hidden state vector, a Gaussian mixture law.
 moments of every node.  `ComponentMoments.from_cells` is the one split of
 cells (activity patterns or label cells) by the node's hypothesis, for the
 exact, the calibration and the blind components alike, and
-`ComponentMoments.stats_for_rows` is the single push-forward from a batch
-of linear rules to their component means and stds (`stats_for_row` is its
-one-row case, giving a `ConditionalStats`).
+`ComponentBank.stats_for_rows` is the single push-forward from a batch
+of linear rules to their component means and stds: a bank stacks several
+nodes' components, padded to one count, so one batch can mix rules of
+different nodes.  `ComponentMoments.stats_for_rows` is its one-node case,
+and `stats_for_row` its one-row case, giving a `ConditionalStats`.
 The false-alarm / detection probabilities are then mixtures of Q-tails
 (`mixture_tail`, and `gfun` for one `ConditionalStats`).  Thresholds come
 from inverting that curve with one solver, `solve_thresholds`: a
@@ -116,23 +118,13 @@ class ComponentMoments:
         """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[i]} (+offset).
 
         `rows` is (G, d) for d = len(indices).  Returns, for v in {-1, +1},
-        (weights (M,), means (G, M), stds (G, M)).  Each entry is a product
-        summed along its own row, so row g does not depend on the other rows
-        of the batch.
+        (weights (M,), means (G, M), stds (G, M)), as
+        `ComponentBank.stats_for_rows` on a bank of this node alone.
         """
-        idx = np.asarray(indices, dtype=np.intp) - 1
-        r = np.atleast_2d(np.asarray(rows, dtype=float))[:, None, :]
-        out = {}
-        for v in (-1, 1):
-            m = self.means[v][:, idx]
-            s2 = self.variances[v][:, idx]
-            if np.isnan(m).any() or np.isnan(s2).any():
-                raise ValueError(
-                    f"component moments for node {self.node} do not cover "
-                    f"all requested nodes")
-            out[v] = (self.weights[v], (r * m).sum(axis=-1) + offset,
-                      np.sqrt((r * r * s2).sum(axis=-1)))
-        return out
+        r = np.atleast_2d(np.asarray(rows, dtype=float))
+        mix = ComponentBank.stack({self.node: self}).stats_for_rows(
+            np.full(len(r), self.node), indices, r, offset)
+        return {v: (self.weights[v],) + mix[v][1:] for v in (-1, 1)}
 
     def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
         """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
@@ -141,6 +133,77 @@ class ComponentMoments:
         return ConditionalStats(self.node, {v: mix[v][0] for v in (-1, 1)},
                                 {v: mix[v][1][0] for v in (-1, 1)},
                                 {v: mix[v][2][0] for v in (-1, 1)})
+
+
+@dataclass(frozen=True)
+class ComponentBank:
+    """Several nodes' mixture components, padded to one component count.
+
+    `nodes` holds the B node ids in ascending order.  For v in {-1, +1}:
+    `weights[v]` is (B, M), `means[v]` and `variances[v]` are (B, M, N),
+    where M is the largest component count among the nodes.  A node with
+    fewer components is filled with weight 0, mean 0 and variance 1, so its
+    padded terms are trailing zeros in every mixture sum, and
+    `solve_thresholds` leaves them out of its brackets.  The zeros leave
+    each sum bit for bit unchanged while M stays below 8; numpy sums rows
+    of 8 or more in unrolled blocks, whose order the padding can shift.
+    """
+
+    nodes: np.ndarray
+    weights: dict
+    means: dict
+    variances: dict
+
+    @classmethod
+    def stack(cls, moments: dict) -> "ComponentBank":
+        """Bank of a node -> `ComponentMoments` map."""
+        nodes = sorted(moments)
+        weights, means, variances = {}, {}, {}
+        for v in (-1, 1):
+            size = max(moments[j].weights[v].size for j in nodes)
+            cols = moments[nodes[0]].means[v].shape[1]
+            weights[v] = np.zeros((len(nodes), size))
+            means[v] = np.zeros((len(nodes), size, cols))
+            variances[v] = np.ones((len(nodes), size, cols))
+            for b, j in enumerate(nodes):
+                k = moments[j].weights[v].size
+                weights[v][b, :k] = moments[j].weights[v]
+                means[v][b, :k] = moments[j].means[v]
+                variances[v][b, :k] = moments[j].variances[v]
+        return cls(np.array(nodes), weights, means, variances)
+
+    def stats_for_rows(self, nodes, indices, rows, offset: float = 0.0) -> dict:
+        """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[g, i]}
+        (+offset) under the components of node nodes[g].
+
+        `rows` is (G, d), `nodes` (G,), and `indices` (G, d) or one (d,)
+        list for every row.  Returns, for v in {-1, +1}, (weights (G, M),
+        means (G, M), stds (G, M)).  Each entry is a product summed along
+        its own row, so row g does not depend on the other rows of the batch.
+        """
+        r = np.atleast_2d(np.asarray(rows, dtype=float))
+        if r.shape[1] == 0:
+            raise ValueError("a rule needs at least one score")
+        at = np.searchsorted(self.nodes, nodes)
+        idx = np.broadcast_to(np.asarray(indices, dtype=np.intp) - 1, r.shape)
+        out = {}
+        for v in (-1, 1):
+            _, size, cols = self.means[v].shape
+            # (G, d, M) positions of the requested entries in the flat bank
+            flat = ((at * size)[:, None, None] + np.arange(size)) * cols + idx[:, :, None]
+            m, s2 = self.means[v].take(flat), self.variances[v].take(flat)
+            if np.isnan(m).any() or np.isnan(s2).any():
+                bad = np.isnan(m + s2).any(axis=(1, 2)).argmax()
+                raise ValueError(
+                    f"component moments for node {self.nodes[at[bad]]} "
+                    f"do not cover all requested nodes")
+            # each sum over the rule runs term by term in index order
+            mean, var = r[:, :1] * m[:, 0], r[:, :1] * r[:, :1] * s2[:, 0]
+            for k in range(1, r.shape[1]):
+                mean = mean + r[:, k:k + 1] * m[:, k]
+                var = var + r[:, k:k + 1] * r[:, k:k + 1] * s2[:, k]
+            out[v] = (self.weights[v][at], mean + offset, np.sqrt(var))
+        return out
 
 
 def mixture_tail(weights, means, stds, tau):
@@ -168,11 +231,12 @@ def solve_thresholds(weights, means, stds, target: float,
     """Invert G tail mixtures at once: tau (G,) with
     mixture_tail(weights, means[g], stds[g], tau[g]) = target.
 
-    `weights` is (M,), `means` and `stds` are (G, M).  Each row starts from
-    the threshold of its moment-matched Gaussian and takes Newton steps on
-    the tail, whose derivative is minus the mixture pdf.  A per-row bracket
-    [lo, hi] (grown geometrically from the component range until it
-    straddles the target) shrinks with every evaluation, and a Newton step
+    `weights` is (M,) or (G, M), `means` and `stds` are (G, M).  Each row
+    starts from the threshold of its moment-matched Gaussian and takes
+    Newton steps on the tail, whose derivative is minus the mixture pdf.  A
+    per-row bracket [lo, hi] (grown geometrically from the range of the
+    row's components with positive weight, so padding never sets it, until
+    it straddles the target) shrinks with every evaluation, and a Newton step
     that leaves it is replaced by the bracket midpoint.  A row is done when
     its tail is within `tol` of the target; rows are solved independently,
     so a row's result does not depend on the rest of the batch.  Raises
@@ -184,17 +248,21 @@ def solve_thresholds(weights, means, stds, target: float,
     w = np.asarray(weights, dtype=float)
     m = np.asarray(means, dtype=float)
     s = np.asarray(stds, dtype=float)
-    if m.ndim != 2 or m.shape != s.shape or w.shape != m.shape[1:] or w.size == 0:
-        raise ValueError("need (M,) weights and matching (G, M) means and stds")
+    if (m.ndim != 2 or m.shape != s.shape or w.shape not in (m.shape, m.shape[1:])
+            or w.size == 0):
+        raise ValueError("need (M,) or (G, M) weights and matching (G, M) means and stds")
     if not (np.isfinite(m).all() and np.isfinite(s).all() and (s > 0).all()):
         raise ValueError("component moments must be finite with positive spread")
+    w = np.broadcast_to(w, m.shape)
+    real = w > 0
 
     # grow both ends of each bracket outward until it straddles the target
     # (the tail decreases); the sign of `span` points each end outward
-    span = np.outer(8.0 * s.max(axis=1) + 1.0, [-1.0, 1.0])
-    ends = np.stack((m.min(axis=1), m.max(axis=1)), axis=1) + span
+    span = np.outer(8.0 * np.where(real, s, 0.0).max(axis=1) + 1.0, [-1.0, 1.0])
+    ends = np.stack((np.where(real, m, np.inf).min(axis=1),
+                     np.where(real, m, -np.inf).max(axis=1)), axis=1) + span
     for _ in range(_MAX_GROWTH):
-        short = (mixture_tail(w, m[:, None], s[:, None], ends) - target) * span > 0
+        short = (mixture_tail(w[:, None], m[:, None], s[:, None], ends) - target) * span > 0
         if not short.any():
             break
         ends[short] += span[short]
@@ -206,25 +274,28 @@ def solve_thresholds(weights, means, stds, target: float,
     mu = (m * w).sum(axis=1)
     sd = np.sqrt((w * (s * s + (m - mu[:, None]) ** 2)).sum(axis=1))
     tau = np.clip(mu - sd * _sp.ndtri(target), lo, hi)
-    act = np.arange(m.shape[0])
+    # the unsettled rows `act`, with their iterates t and their own copies
+    # of lo, hi, m, s and w
+    act, t = np.arange(len(tau)), tau.copy()
     for _ in range(_MAX_NEWTON):
-        z = (tau[act, None] - m[act]) / s[act]
+        z = (t[:, None] - m) / s
         err = (q_function(z) * w).sum(axis=1) - target
         live = np.abs(err) > tol
-        if not live.any():
-            return tau
-        act, z, err = act[live], z[live], err[live]
-        t = tau[act]
+        if not live.all():
+            tau[act[~live]] = t[~live]
+            if not live.any():
+                return tau
+            act, t, lo, hi, m, s, w, z, err = (
+                a[live] for a in (act, t, lo, hi, m, s, w, z, err))
         above = err > 0           # tail above target: the root lies right of t
-        lo[act] = np.where(above, t, lo[act])
-        hi[act] = np.where(above, hi[act], t)
-        pdf = (np.exp(-0.5 * z * z) / s[act] * w).sum(axis=1) * _INV_SQRT_2PI
+        lo = np.where(above, t, lo)
+        hi = np.where(above, hi, t)
+        pdf = (np.exp(-0.5 * z * z) / s * w).sum(axis=1) * _INV_SQRT_2PI
         with np.errstate(divide="ignore", invalid="ignore"):
             step = t + err / pdf
-        inside = (step > lo[act]) & (step < hi[act])
-        tau[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
+        t = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
     raise RuntimeError(
-        f"threshold solver missed tol={tol:g} on {act.size} of {m.shape[0]} "
+        f"threshold solver missed tol={tol:g} on {act.size} of {len(tau)} "
         f"rows after {_MAX_NEWTON} iterations")
 
 

@@ -144,9 +144,8 @@ class _Cell:
     @cached_property
     def neighbourhood_designs(self) -> dict:
         """Node -> `optimize_p2` design on the exact moments."""
-        return {j: optimizer.optimize_p2(self.pattern_moments[j], self.top, j,
-                                         self.cfg.far, seed=self.seed)
-                for j in self.top.nodes}
+        return optimizer.neighbourhood_designs(self.pattern_moments, self.top,
+                                               self.cfg.far, seed=self.seed)
 
     # -- calibration --------------------------------------------------------
 
@@ -180,6 +179,12 @@ def _linear_engine_matrix(top: Topology, coefficients, iterations: int) -> np.nd
     state = discrete.run_messages(top, probes, discrete.LINEARIZED, iterations,
                                   coefficients=coefficients)
     return discrete.decision_variables(state, top, probes)
+
+
+def _search_extras(solutions: dict) -> dict:
+    """Per-node convergence and objective evaluations of P2 designs."""
+    return {"converged": {j: s.converged for j, s in solutions.items()},
+            "evaluations": {j: s.evaluations for j, s in solutions.items()}}
 
 
 def _row_matrix(top: Topology, solutions: dict) -> np.ndarray:
@@ -227,6 +232,7 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
         taus = np.array([solutions[j].threshold for j in top.nodes])
         extras["coefficients"] = {j: solutions[j].coefficients for j in top.nodes}
         extras["model_pd"] = {j: solutions[j].pd for j in top.nodes}
+        extras.update(_search_extras(solutions))
     elif spec.kind == "linPropB":
         blind = optimizer.blind_adapt(cell.calib.gamma, top, cfg.far,
                                       truth=cell.calib.x, seed=cell.seed)
@@ -240,6 +246,7 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
                                       for j in top.nodes}
         extras["label_accuracy"] = {"initial": blind.initial_accuracy,
                                     "final": blind.final_accuracy}
+        extras.update(_search_extras(blind.solutions))
     elif spec.kind == "linOpt":
         sol = optimizer.optimize_p1(cell.pattern_moments, top, cfg.far,
                                     cell.neighbourhood_designs, seed=cell.seed)
@@ -248,6 +255,7 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
         taus = sol.thresholds
         extras["weights"] = weights.tolist()
         extras["model_pd"] = sol.pd.tolist()
+        extras["notes"] = list(sol.notes)
     else:  # pragma: no cover - parse_method guards this
         raise ValueError(f"unhandled method kind {spec.kind!r}")
 

@@ -28,8 +28,8 @@ so a bad edge list fails there.
 The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (exact per-pattern components of every node) ->
 `performance.ComponentMoments.stats_for_row`, the one-row case of the single
-push-forward `stats_for_rows`; `stats_for_weights` applies it to a whole
-weight matrix.  The sampled route, `empirical_conditional_stats`, fits cells
+push-forward `ComponentBank.stats_for_rows`; `stats_for_weights` applies it
+to a whole weight matrix.  The sampled route, `empirical_conditional_stats`, fits cells
 with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.  All
 three split their cells (patterns or label cells) by hypothesis with the one
 `performance.ComponentMoments.from_cells`.

@@ -56,38 +56,6 @@ def energy_threshold(noise_var: float, sample_count: int, far: float) -> float:
     return noise_var * (1.0 + np.sqrt(2.0 / sample_count) * q_inverse(far))
 
 
-def gen_observations(amplitudes, noise_var: float, sample_count: int, gen: np.random.Generator):
-    """Draw y = a + nu for constant-amplitude signals.
-
-    `amplitudes` has one scalar per observation (any shape); the result
-    appends a sample axis of length `sample_count`.
-    """
-    _check_noise(noise_var)
-    _check_samples(sample_count)
-    amp = np.asarray(amplitudes, dtype=float)
-    noise = gen.standard_normal(amp.shape + (sample_count,)) * np.sqrt(noise_var)
-    return amp[..., None] + noise
-
-
-def llr_matched(y, template):
-    """Coherent statistic t^T y - ||t||^2/2 along the last axis of y."""
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(template, dtype=float)
-    if t.ndim != 1 or y.shape[-1] != t.shape[0]:
-        raise ValueError("template must be a vector matching y's sample axis")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite observations")
-    return y @ t - 0.5 * float(t @ t)
-
-
-def llr_energy(y, tau0: float):
-    """Energy statistic ||y||^2 / K - tau0 along the last axis of y."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite observations")
-    return np.mean(np.square(y), axis=-1) - tau0
-
-
 def matched_moments(template_energy: float, cross: float, noise_var: float) -> Tuple[float, float]:
     """Mean/variance of the coherent statistic.
 

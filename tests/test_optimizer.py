@@ -2,12 +2,15 @@
 
 The neighbourhood optimizer is validated against an exhaustive fine grid
 over the same objective on low-dimensional instances, so the oracle is
-independent of the ascent logic.  The blind bootstrap's sorted cell fit is
-pinned to the per-pattern mask loop it replaced, kept here as an oracle.
+independent of the ascent logic.  The lockstep row search is pinned bit for
+bit to the serial one-start-at-a-time ascent it replaced, and the blind
+bootstrap's sorted cell fit to the per-pattern mask loop it replaced; both
+are kept here as oracles.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,16 +21,18 @@ from mpfusion import optimizer, rng
 from mpfusion.graph import Topology, chain, neighbors, star
 from mpfusion.optimizer import (
     BlindResult,
+    ComponentBank,
     ComponentMoments,
     ContractionWarning,
     blind_adapt,
     egc_weights,
     learn_couplings,
+    neighbourhood_designs,
     optimize_p1,
     optimize_p2,
     stability_box,
 )
-from mpfusion.performance import gfun, solve_threshold
+from mpfusion.performance import gfun, mixture_tail, solve_threshold, solve_thresholds
 from mpfusion.scenario import (
     ScenarioConfig,
     moments_from_scenario,
@@ -207,6 +212,180 @@ def test_optimize_p2_respects_stability_box():
 def test_optimize_p2_rejects_bad_alpha():
     with pytest.raises(ValueError):
         optimize_p2(_two_node_moments(), chain(2), 1, alpha=0.0)
+
+
+# ------------------------------------------------------ lockstep row search
+
+
+def _oracle_line_search(fun, i, point, lo, hi):
+    """Serial line search: scan [lo, hi], then re-scan [best - step,
+    best + step] clipped to [lo, hi] until the step is at most _LINE_TOL."""
+    a, b = lo, hi
+    best_val, best_c = -np.inf, point[i]
+    batch = np.repeat(point[None], optimizer._SCAN_POINTS, axis=0)
+    while True:
+        grid = np.linspace(a, b, optimizer._SCAN_POINTS)
+        batch[:, i] = grid
+        vals = fun(batch)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_c = float(vals[k]), grid[k]
+        step = grid[1] - grid[0]
+        if step <= optimizer._LINE_TOL:
+            break
+        a, b = max(lo, best_c - step), min(hi, best_c + step)
+    point[i] = best_c
+    return best_val
+
+
+def _oracle_coordinate_ascent(fun, start, box):
+    """Serial cyclic coordinate ascent from one start; (point, value,
+    converged)."""
+    point = start.copy()
+    value = float(fun(point[None])[0])
+    if point.size == 0:
+        return point, value, True
+    for _ in range(optimizer._MAX_SWEEPS):
+        moved = 0.0
+        for i in range(point.size):
+            before = point[i]
+            new_val = _oracle_line_search(fun, i, point, -box, box)
+            if new_val >= value:
+                value = new_val
+            else:
+                point[i] = before
+            moved = max(moved, abs(point[i] - before))
+        if moved < optimizer._STEP_TOL:
+            return point, value, True
+    return point, value, False
+
+
+def _oracle_search_row(moments, indices, alpha, starts, box):
+    """One job of `_search_rows`, one start at a time on the node's own
+    (unpadded) components."""
+    evals = 0
+
+    def price(batch):
+        mix = moments.stats_for_rows(indices, np.hstack((np.ones((len(batch), 1)), batch)))
+        return mix, solve_thresholds(*mix[-1], alpha)
+
+    def fun(batch):
+        nonlocal evals
+        evals += len(batch)
+        mix, tau = price(batch)
+        return mixture_tail(*mix[1], tau)
+
+    best_point, best_val, converged = np.asarray(starts[0], dtype=float), -np.inf, True
+    for start in starts:
+        point, val, ok = _oracle_coordinate_ascent(fun, np.asarray(start, dtype=float), box)
+        if val > best_val:
+            best_point, best_val, converged = point, val, ok
+    mix, tau = price(best_point[None])
+    return (best_point, converged, float(tau[0]), float(mixture_tail(*mix[-1], tau)[0]),
+            float(mixture_tail(*mix[1], tau)[0]), evals)
+
+
+def _assert_lockstep_matches_oracle(moments, jobs, alpha, box):
+    got = optimizer._search_rows(ComponentBank.stack(moments), jobs, alpha, box)
+    for (node, indices, starts), found in zip(jobs, got):
+        want = _oracle_search_row(moments[node], indices, alpha, starts, box)
+        np.testing.assert_array_equal(found[0], want[0])
+        assert found[1:] == want[1:]
+    return got
+
+
+@st.composite
+def _lockstep_jobs(draw):
+    """Random components (1-4 per hypothesis and node), 1-3 jobs of one
+    dimension (1-4) over random columns, and 1-3 starts per job, some of
+    them repeats of an earlier start."""
+    dim = draw(st.integers(1, 4))
+    n = dim + draw(st.integers(1, 2))
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+
+    def component_moments(node):
+        out = {}
+        for v in (-1, 1):
+            m = draw(st.integers(1, 4))
+            w = np.array(draw(st.lists(floats(0.05, 1.0), min_size=m, max_size=m)))
+            mean = np.array(draw(st.lists(floats(-2.0, 2.0), min_size=m * n,
+                                          max_size=m * n))).reshape(m, n)
+            var = np.array(draw(st.lists(floats(0.2, 3.0), min_size=m * n,
+                                         max_size=m * n))).reshape(m, n)
+            out[v] = (w / w.sum(), mean + (v > 0), var)
+        return ComponentMoments(node, *({v: out[v][k] for v in (-1, 1)} for k in range(3)))
+
+    box = draw(st.sampled_from([0.5, 2.0]))
+    jobs = []
+    for node in draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True)):
+        others = draw(st.permutations([i for i in range(1, n + 1) if i != node]))
+        starts = []
+        for _ in range(draw(st.integers(1, 3))):
+            if starts and draw(st.booleans()):
+                starts.append(starts[draw(st.integers(0, len(starts) - 1))].copy())
+            else:
+                starts.append(np.array(draw(st.lists(floats(-box, box), min_size=dim,
+                                                     max_size=dim))))
+        jobs.append((node, [node] + list(others[:dim]), starts))
+    moments = {node: component_moments(node) for node, _, _ in jobs}
+    return moments, jobs, box
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_lockstep_jobs(), alpha=st.sampled_from([0.05, 0.1, 0.3]),
+       sweeps=st.sampled_from([1, 2, optimizer._MAX_SWEEPS]))
+def test_lockstep_search_matches_serial_oracle(case, alpha, sweeps):
+    moments, jobs, box = case
+    with mock.patch.object(optimizer, "_MAX_SWEEPS", sweeps):
+        _assert_lockstep_matches_oracle(moments, jobs, alpha, box)
+
+
+def test_lockstep_search_matches_serial_oracle_at_sweep_cap(monkeypatch):
+    monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
+    moments, top, hood = _p1_inputs()
+    jobs = [(j, [j] + [i for i in top.nodes if i != j],
+             [np.zeros(4), np.full(4, 0.2), np.zeros(4)]) for j in (2, 3)]
+    got = _assert_lockstep_matches_oracle({j: moments[j] for j in (2, 3)}, jobs, 0.1, 2.0)
+    assert not all(found[1] for found in got)
+
+
+def test_lockstep_search_keeps_the_tie_and_downhill_rules(monkeypatch):
+    cm = _two_node_moments()                 # Pd peaks at coefficient 1
+    (peak, *_), = optimizer._search_rows(ComponentBank.stack({1: cm}),
+                                         [(1, [1, 2], [np.zeros(1)])], 0.1, 2.0)
+    monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
+    # both starts end on the same point and value; only the second start,
+    # already there, converges in one sweep, and the first start wins
+    tie = _assert_lockstep_matches_oracle({1: cm}, [(1, [1, 2], [np.full(1, -1.5), peak])],
+                                          0.1, 2.0)
+    np.testing.assert_array_equal(tie[0][0], peak)
+    assert tie[0][1] is False
+    # a start beyond the box scores above every point inside it: stay put
+    (kept, *_), = _assert_lockstep_matches_oracle({1: cm}, [(1, [1, 2], [np.ones(1)])],
+                                                   0.1, 0.5)
+    np.testing.assert_array_equal(kept, [1.0])
+
+
+def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
+    moments, top, hood = _p1_inputs()
+    calls, search = [], optimizer._search_rows
+
+    def counted(bank, jobs, *args):
+        calls.append([node for node, _, _ in jobs])
+        return search(bank, jobs, *args)
+
+    monkeypatch.setattr(optimizer, "_search_rows", counted)
+    assert neighbourhood_designs(moments, top, 0.1, seed=3) == hood
+    assert calls == [[1, 5], [2, 3, 4]]      # one lockstep search per degree
+    calls.clear()
+    optimize_p1(moments, top, 0.1, hood, seed=3)
+    assert calls == [[1, 2, 3, 4, 5]]
+    star_top = star(4)
+    cfg = ScenarioConfig(node_count=4, edges=star_top.edges, rho_db=-6.0,
+                         coverage={1: (1, 2, 3, 4)}, on_prob=(0.5,))
+    stars = moments_from_scenario(scenario_stats(cfg))
+    assert neighbourhood_designs(stars, star_top, 0.1, seed=3) == {
+        j: optimize_p2(stars[j], star_top, j, alpha=0.1, seed=3) for j in star_top.nodes}
 
 
 # ------------------------------------------------------------ network tune

@@ -3,7 +3,7 @@
 `gfun` is cross-checked against a hand-rolled mixture of erfc tails and
 against Monte Carlo sampling of the same mixture; `solve_threshold` by
 round-tripping, and the batched push-forward and threshold solver against
-their one-row calls on random mixtures.  The KS check is calibrated on synthetic draws where the
+their one-row calls on random mixtures, padded ones included.  The KS check is calibrated on synthetic draws where the
 verdict is known.
 """
 
@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from mpfusion import performance, rng
 from mpfusion.performance import (
+    ComponentBank,
     ComponentMoments,
     ConditionalStats,
     GaussianityReport,
@@ -125,16 +126,19 @@ def test_batched_push_forward_and_solver_match_one_row(data, comps, rows, dim, t
     def draw(shape, lo, hi):
         return data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
 
-    def distribution():
-        w = draw(comps, 0.01, 1.0)
-        return w / w.sum()
+    def moments(node, count):
+        def distribution():
+            w = draw(count, 0.01, 1.0)
+            return w / w.sum()
+
+        return ComponentMoments(
+            node,
+            {v: distribution() for v in (-1, 1)},
+            {v: draw((count, nodes), -4.0, 4.0) for v in (-1, 1)},
+            {v: draw((count, nodes), 0.01, 4.0) for v in (-1, 1)})
 
     nodes = dim + 1                          # one node outside the rule
-    cm = ComponentMoments(
-        1,
-        {v: distribution() for v in (-1, 1)},
-        {v: draw((comps, nodes), -4.0, 4.0) for v in (-1, 1)},
-        {v: draw((comps, nodes), 0.01, 4.0) for v in (-1, 1)})
+    cm = moments(1, comps)
     batch = draw((rows, dim), -2.0, 2.0)
     batch[:, 0] = 1.0                        # own weight one, as in the designs
     indices = np.arange(1, dim + 1)
@@ -147,6 +151,39 @@ def test_batched_push_forward_and_solver_match_one_row(data, comps, rows, dim, t
             np.testing.assert_array_max_ulp(mix[v][2][g], one.stds[v], maxulp=4)
         assert abs(gfun(taus[g], -1, one) - target) <= 1e-9
         assert taus[g] == solve_threshold(one, -1, target)
+
+    # (G, M) weights: a bank pads node 2's `short` components to `comps`
+    # with zero weight; numpy sums rows of 8 or more in unrolled blocks, so
+    # a padded count of 8 keeps short to at most 3
+    short = data.draw(st.integers(1, comps if comps < 8 else 3))
+    banked = {1: cm, 2: moments(2, short)}
+    owner = data.draw(arrays(np.intp, rows, elements=st.sampled_from([1, 2])))
+    weights, means, stds = ComponentBank.stack(banked).stats_for_rows(
+        owner, indices, batch)[-1]
+    taus = solve_thresholds(weights, means, stds, target)
+    far = means.copy()                       # padded means far outside the rest
+    far[:, short:] = np.where(owner[:, None] == 2,
+                              data.draw(st.sampled_from([-1e6, -50.0, 50.0, 1e6])),
+                              far[:, short:])
+    far_taus = solve_thresholds(weights, far, stds, target)
+    for g in range(rows):
+        one = banked[owner[g]].stats_for_row(indices, batch[g])
+        size = one.weights[-1].size
+        assert not weights[g, size:].any()
+        np.testing.assert_array_equal(means[g, :size], one.means[-1])
+        np.testing.assert_array_equal(stds[g, :size], one.stds[-1])
+        assert taus[g] == far_taus[g] == solve_threshold(one, -1, target)
+
+
+def test_padding_never_sets_the_threshold_bracket():
+    # two far-apart modes: Newton's first step leaves the bracket, so the
+    # bisection midpoint, and with it the bracket, shapes the result
+    weights, means, stds = [0.5, 0.5], [-10.0, 10.0], [0.1, 0.1]
+    want = solve_thresholds(weights, [means], [stds], 0.1)
+    for far in (-1e6, 1e6):
+        padded = solve_thresholds([weights + [0.0]], [means + [far]],
+                                  [stds + [1e3]], 0.1)
+        assert padded[0] == want[0]
 
 
 def test_conditional_stats_validation():

@@ -115,17 +115,31 @@ def test_mp_preset_records_couplings():
 
 def test_lin_presets_share_one_neighbourhood_design_per_node(monkeypatch):
     calls = []
-    design = optimizer.optimize_p2
+    design = optimizer.neighbourhood_designs
 
-    def counted(moments, top, node, *args, **kwargs):
-        calls.append(node)
-        return design(moments, top, node, *args, **kwargs)
+    def counted(moments, top, *args, **kwargs):
+        found = design(moments, top, *args, **kwargs)
+        calls.append(sorted(found))
+        return found
 
-    monkeypatch.setattr(optimizer, "optimize_p2", counted)
+    monkeypatch.setattr(optimizer, "neighbourhood_designs", counted)
     cfg = _small_cfg()
     evaluate_cell(cfg, ["linProp", "linOpt"], seed=27, training_slots=300,
                   calibration_slots=500, eval_slots=500)
-    assert sorted(calls) == list(cfg.topology().nodes)
+    assert calls == [list(cfg.topology().nodes)]
+
+
+def test_design_presets_report_their_search(monkeypatch):
+    monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
+    cfg = _small_cfg()
+    prop, blind, opt = evaluate_cell(cfg, ["linProp", "linPropB", "linOpt"], seed=27,
+                                     training_slots=300, calibration_slots=500,
+                                     eval_slots=500)
+    nodes = set(cfg.topology().nodes)
+    for res in (prop, blind):
+        assert set(res.extras["converged"]) == nodes
+        assert all(res.extras["evaluations"][j] > 0 for j in nodes)
+    assert any("1-sweep cap" in note for note in opt.extras["notes"])
 
 
 # ------------------------------------------------------------------ sweeps

@@ -41,12 +41,9 @@ from mpfusion.scenario import (
     _OBS_CHUNK,
     _transition_matrix,
 )
-from mpfusion.sensing import (
-    energy_moments,
-    gen_observations,
-    llr_energy,
-    llr_matched,
-)
+from mpfusion.sensing import energy_moments
+
+from helpers import gen_observations, llr_energy, llr_matched
 
 
 def test_default_scenario_shape():

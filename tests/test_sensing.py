@@ -14,13 +14,12 @@ from mpfusion import rng
 from mpfusion.sensing import (
     energy_moments,
     energy_threshold,
-    gen_observations,
-    llr_energy,
-    llr_matched,
     matched_moments,
     q_function,
     q_inverse,
 )
+
+from helpers import gen_observations, llr_energy, llr_matched
 
 
 def test_q_function_against_erfc():
