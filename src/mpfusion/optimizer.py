@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .graph import MrfParams, Topology, max_degree, neighbors
+from .graph import MrfParams, Topology, _is_integer, max_degree, neighbors
 from .performance import ComponentBank, ComponentMoments, mixture_tail, solve_thresholds
 from .scenario import _cell_moments
 
@@ -414,8 +414,10 @@ def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != top.node_count:
         raise ValueError("gamma rows must match the topology")
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
+    if not _is_integer(rounds) or rounds < 0:
+        raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
+    if not _is_integer(min_cell):
+        raise ValueError(f"min_cell must be an integer, got {min_cell!r}")
     labels = np.where(g > 0, 1, -1).astype(np.int8)
     init_acc = None if truth is None else float(np.mean(labels == truth))
 

@@ -9,8 +9,8 @@ exact, the calibration and the blind components alike, and
 `ComponentBank.stats_for_rows` is the single push-forward from a batch
 of linear rules to their component means and stds: a bank stacks several
 nodes' components, padded to one count, so one batch can mix rules of
-different nodes.  `ComponentMoments.stats_for_rows` is its one-node case,
-and `stats_for_row` its one-row case, giving a `ConditionalStats`.
+different nodes.  `ComponentMoments.stats_for_row` is its one-node,
+one-row case, giving a `ConditionalStats`.
 The false-alarm / detection probabilities are then mixtures of Q-tails
 (`mixture_tail`, and `gfun` for one `ConditionalStats`).  Thresholds come
 from inverting that curve with one solver, `solve_thresholds`: a
@@ -114,23 +114,11 @@ class ComponentMoments:
             by_mean[v], by_var[v] = means[sel], variances[sel]
         return cls(node, weights, by_mean, by_var)
 
-    def stats_for_rows(self, indices, rows, offset: float = 0.0) -> dict:
-        """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[i]} (+offset).
-
-        `rows` is (G, d) for d = len(indices).  Returns, for v in {-1, +1},
-        (weights (M,), means (G, M), stds (G, M)), as
-        `ComponentBank.stats_for_rows` on a bank of this node alone.
-        """
-        r = np.atleast_2d(np.asarray(rows, dtype=float))
-        mix = ComponentBank.stack({self.node: self}).stats_for_rows(
-            np.full(len(r), self.node), indices, r, offset)
-        return {v: (self.weights[v],) + mix[v][1:] for v in (-1, 1)}
-
     def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
         """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
-        mix = self.stats_for_rows(indices, np.asarray(row_weights, dtype=float)[None],
-                                  offset)
-        return ConditionalStats(self.node, {v: mix[v][0] for v in (-1, 1)},
+        mix = ComponentBank.stack({self.node: self}).stats_for_rows(
+            [self.node], indices, np.asarray(row_weights, dtype=float)[None], offset)
+        return ConditionalStats(self.node, {v: mix[v][0][0] for v in (-1, 1)},
                                 {v: mix[v][1][0] for v in (-1, 1)},
                                 {v: mix[v][2][0] for v in (-1, 1)})
 
@@ -145,8 +133,11 @@ class ComponentBank:
     fewer components is filled with weight 0, mean 0 and variance 1, so its
     padded terms are trailing zeros in every mixture sum, and
     `solve_thresholds` leaves them out of its brackets.  The zeros leave
-    each sum bit for bit unchanged while M stays below 8; numpy sums rows
-    of 8 or more in unrolled blocks, whose order the padding can shift.
+    each sum bit for bit unchanged while M stays below 8, and also where
+    both the node's own count and M are multiples of 8 no larger than 128:
+    numpy sums a row of 8 to 128 terms in eight interleaved partial sums,
+    which zeros appended in whole blocks of 8 leave as they were.  Other
+    counts of 8 or more can shift that order.
     """
 
     nodes: np.ndarray

@@ -17,11 +17,16 @@ Preset labels:
     linPropB     same design run blind (labels, moments, tuning without truth)
     linOpt       full linear row per node, network design seeded with linProp
 
-Thresholds are always produced by inverting the Gaussian-mixture tail
-(`solve_threshold`): from exact scenario statistics for rules that are
-linear in the scores, and from per-pattern sample moments of the engine
-output for the message-passing rules.  A cell solves its neighbourhood
-designs once, and linProp and linOpt read that one set.
+Every preset but mp and bp is linear in the scores, so it is fully
+described by its weight matrix W: its decision variables are W gamma, and
+linear and egc read W off the linearized engine by probing it once.  Their
+thresholds invert the exact Gaussian-mixture tail: `_Cell.linear_thresholds`
+prices all rows of W in one batch over the nodes' stacked components and
+hands them to one `solve_thresholds` call, unless the design (linProp,
+linOpt) already priced them.  The mp and bp rules run their engine on the
+campaigns and invert mixtures fitted to per-pattern sample moments of its
+output.  A cell solves its neighbourhood designs once, and linProp and
+linOpt read that one set.
 """
 
 from __future__ import annotations
@@ -34,15 +39,17 @@ import numpy as np
 
 from . import discrete, optimizer, rng, scenario
 from .graph import MrfParams, Topology, _is_integer
-from .performance import PerfReport, monte_carlo_perf, solve_threshold
+from .performance import (ComponentBank, PerfReport, monte_carlo_perf, solve_threshold,
+                          solve_thresholds)
 from .scenario import (Campaign, ScenarioConfig, empirical_conditional_stats,
-                       run_campaign, scenario_stats, stats_for_weights, with_rho)
+                       run_campaign, scenario_stats, with_rho)
 
 _CAMPAIGNS_PER_CELL = 16          # index stride keeping cells independent
 _TRAIN, _CALIB, _EVAL = 0, 1, 2
 
 _PARAM_LABEL = re.compile(r"^(mp|bp|linear|egc)(\d+(?:\.\d+)?)$")
 _PLAIN_LABELS = ("local", "linProp", "linPropB", "linOpt")
+_TRAINING_LABELS = ("local", "genie")
 
 
 @dataclass(frozen=True)
@@ -122,13 +129,9 @@ class _Cell:
         if self._labels is None:
             if self.training_labels == "genie":
                 self._labels = self.train.x
-            elif self.training_labels == "local":
-                taus = self.linear_thresholds(np.eye(self.top.node_count),
-                                              np.zeros(self.top.node_count))
-                self._labels = discrete.decide(self.train.gamma, taus)
             else:
-                raise ValueError(
-                    f"unknown training label source {self.training_labels!r}")
+                taus = self.linear_thresholds(np.eye(self.top.node_count))
+                self._labels = discrete.decide(self.train.gamma, taus)
         return self._labels
 
     def learned_params(self, zeta: float):
@@ -149,11 +152,17 @@ class _Cell:
 
     # -- calibration --------------------------------------------------------
 
-    def linear_thresholds(self, weight_matrix, offsets) -> np.ndarray:
-        """Exact-mixture thresholds for a rule lambda = W gamma + w0."""
-        cond = stats_for_weights(self.stats, weight_matrix, offsets)
-        return np.array([solve_threshold(cond[j], -1, self.cfg.far)
-                         for j in self.top.nodes])
+    @cached_property
+    def bank(self) -> ComponentBank:
+        """Every node's exact components, stacked once."""
+        return ComponentBank.stack(self.pattern_moments)
+
+    def linear_thresholds(self, weights) -> np.ndarray:
+        """Exact-mixture thresholds of the rules lambda = W gamma: row j of
+        W under node j's components, all rows priced and solved in one batch."""
+        nodes = np.array(self.top.nodes)
+        mix = self.bank.stats_for_rows(nodes, nodes, weights)
+        return solve_thresholds(*mix[-1], self.cfg.far)
 
     def empirical_thresholds(self, lambda_fn) -> np.ndarray:
         """Pattern-cell Gaussian-moment thresholds for a nonlinear rule."""
@@ -163,11 +172,9 @@ class _Cell:
                          for j in self.top.nodes])
 
 
-def _engine_lambda(top: Topology, algorithm: str, iterations: int,
-                   params=None, coefficients=None):
+def _engine_lambda(top: Topology, algorithm: str, iterations: int, params):
     def fn(gamma):
-        state = discrete.run_messages(top, gamma, algorithm, iterations,
-                                      params=params, coefficients=coefficients)
+        state = discrete.run_messages(top, gamma, algorithm, iterations, params=params)
         return discrete.decision_variables(state, top, gamma)
     return fn
 
@@ -197,69 +204,66 @@ def _row_matrix(top: Topology, solutions: dict) -> np.ndarray:
     return w
 
 
-def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
-    top, cfg = cell.top, cell.cfg
-    n = top.node_count
-    extras: dict = {}
+def _couplings(params: MrfParams) -> dict:
+    return {f"{i}-{j}": c for (i, j), c in params.couplings.items()}
 
+
+def _linear_rule(cell: _Cell, spec: MethodSpec):
+    """(W, thresholds, extras) of a preset whose decision variables are
+    W gamma; thresholds are None unless its design already priced them."""
+    top = cell.top
     if spec.kind == "local":
-        weights, offsets = np.eye(n), np.zeros(n)
-        lam_fn = lambda g: g
-        taus = cell.linear_thresholds(weights, offsets)
-    elif spec.kind in ("mp", "bp"):
-        params = cell.learned_params(spec.param)
-        algorithm = discrete.MAX_PRODUCT if spec.kind == "mp" else discrete.SUM_PRODUCT
-        lam_fn = _engine_lambda(top, algorithm, cell.iterations, params=params)
-        taus = cell.empirical_thresholds(lam_fn)
-        extras["couplings"] = {f"{i}-{j}": c for (i, j), c in params.couplings.items()}
-    elif spec.kind in ("linear", "egc"):
+        return np.eye(top.node_count), None, {}
+    if spec.kind in ("linear", "egc"):
+        extras = {}
         if spec.kind == "linear":
             params = cell.learned_params(spec.param)
             coeffs = discrete.linearized_coefficients(params)
-            extras["couplings"] = {f"{i}-{j}": c
-                                   for (i, j), c in params.couplings.items()}
+            extras["couplings"] = _couplings(params)
         else:
             coeffs = optimizer.egc_weights(top, spec.param)
-        lam_fn = _engine_lambda(top, discrete.LINEARIZED, cell.iterations,
-                                coefficients=coeffs)
         weights = _linear_engine_matrix(top, coeffs, cell.iterations)
-        taus = cell.linear_thresholds(weights, np.zeros(n))
         extras["weights"] = weights.tolist()
-    elif spec.kind == "linProp":
+        return weights, None, extras
+    if spec.kind == "linProp":
         solutions = cell.neighbourhood_designs
-        weights = _row_matrix(top, solutions)
-        lam_fn = lambda g: weights @ g
-        taus = np.array([solutions[j].threshold for j in top.nodes])
-        extras["coefficients"] = {j: solutions[j].coefficients for j in top.nodes}
-        extras["model_pd"] = {j: solutions[j].pd for j in top.nodes}
-        extras.update(_search_extras(solutions))
-    elif spec.kind == "linPropB":
-        blind = optimizer.blind_adapt(cell.calib.gamma, top, cfg.far,
+        return (_row_matrix(top, solutions),
+                np.array([solutions[j].threshold for j in top.nodes]),
+                {"coefficients": {j: solutions[j].coefficients for j in top.nodes},
+                 "model_pd": {j: solutions[j].pd for j in top.nodes},
+                 **_search_extras(solutions)})
+    if spec.kind == "linPropB":
+        blind = optimizer.blind_adapt(cell.calib.gamma, top, cell.cfg.far,
                                       truth=cell.calib.x, seed=cell.seed)
-        weights = _row_matrix(top, blind.solutions)
-        lam_fn = lambda g: weights @ g
         # deployment thresholds: exact mixture for the blind-chosen weights
-        taus = cell.linear_thresholds(weights, np.zeros(n))
-        extras["coefficients"] = {j: blind.solutions[j].coefficients
-                                  for j in top.nodes}
-        extras["blind_thresholds"] = {j: blind.solutions[j].threshold
-                                      for j in top.nodes}
-        extras["label_accuracy"] = {"initial": blind.initial_accuracy,
-                                    "final": blind.final_accuracy}
-        extras.update(_search_extras(blind.solutions))
-    elif spec.kind == "linOpt":
-        sol = optimizer.optimize_p1(cell.pattern_moments, top, cfg.far,
+        return (_row_matrix(top, blind.solutions), None,
+                {"coefficients": {j: blind.solutions[j].coefficients for j in top.nodes},
+                 "blind_thresholds": {j: blind.solutions[j].threshold for j in top.nodes},
+                 "label_accuracy": {"initial": blind.initial_accuracy,
+                                    "final": blind.final_accuracy},
+                 **_search_extras(blind.solutions)})
+    if spec.kind == "linOpt":
+        sol = optimizer.optimize_p1(cell.pattern_moments, top, cell.cfg.far,
                                     cell.neighbourhood_designs, seed=cell.seed)
-        weights = sol.weights
-        lam_fn = lambda g: weights @ g
-        taus = sol.thresholds
-        extras["weights"] = weights.tolist()
-        extras["model_pd"] = sol.pd.tolist()
-        extras["notes"] = list(sol.notes)
-    else:  # pragma: no cover - parse_method guards this
-        raise ValueError(f"unhandled method kind {spec.kind!r}")
+        return sol.weights, sol.thresholds, {"weights": sol.weights.tolist(),
+                                             "model_pd": sol.pd.tolist(),
+                                             "notes": list(sol.notes)}
+    raise ValueError(f"unhandled method kind {spec.kind!r}")  # pragma: no cover
 
-    lam = lam_fn(cell.eval.gamma)
+
+def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
+    cfg = cell.cfg
+    if spec.kind in ("mp", "bp"):
+        params = cell.learned_params(spec.param)
+        algorithm = discrete.MAX_PRODUCT if spec.kind == "mp" else discrete.SUM_PRODUCT
+        lam_fn = _engine_lambda(cell.top, algorithm, cell.iterations, params)
+        taus, lam = cell.empirical_thresholds(lam_fn), lam_fn(cell.eval.gamma)
+        extras = {"couplings": _couplings(params)}
+    else:
+        weights, taus, extras = _linear_rule(cell, spec)
+        lam = weights @ cell.eval.gamma
+        if taus is None:
+            taus = cell.linear_thresholds(weights)
     report = monte_carlo_perf(lam, cell.eval.x, taus,
                               meta={"method": spec.label,
                                     "rho_db": cfg.rho_db,
@@ -283,6 +287,9 @@ def evaluate_cell(cfg: ScenarioConfig, methods, seed: int, *,
                   calibration_slots: int = 20000,
                   eval_slots: int = 20000) -> list:
     """Run every preset at one operating point on shared campaigns."""
+    if training_labels not in _TRAINING_LABELS:
+        raise ValueError(f"unknown training label source {training_labels!r}; "
+                         f"expected one of {', '.join(_TRAINING_LABELS)}")
     specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
     top = cfg.topology()
     cell = _Cell(cfg, top, seed, cell_index, _rounds(top, iterations), training_labels,

@@ -27,11 +27,12 @@ so a bad edge list fails there.
 
 The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (exact per-pattern components of every node) ->
-`performance.ComponentMoments.stats_for_row`, the one-row case of the single
-push-forward `ComponentBank.stats_for_rows`; `stats_for_weights` applies it
-to a whole weight matrix.  The sampled route, `empirical_conditional_stats`, fits cells
-with `_cell_moments`, as `optimizer.blind_adapt` does its label cells.  All
-three split their cells (patterns or label cells) by hypothesis with the one
+the single push-forward `performance.ComponentBank.stats_for_rows`, which
+prices every row of a weight matrix in one batch over the nodes' stacked
+components (`pipeline._Cell.linear_thresholds`).  The sampled route,
+`empirical_conditional_stats`, fits cells with `_cell_moments`, as
+`optimizer.blind_adapt` does its label cells.  All three split their cells
+(patterns or label cells) by hypothesis with the one
 `performance.ComponentMoments.from_cells`.
 """
 
@@ -354,6 +355,7 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
     more than that block, and no per-chunk allocation is big enough for
     heap layout to move the process's peak memory.
     """
+    slots = _integer(slots, "slots")
     act_gen = rng.stream(seed, rng.PU_ACTIVITY, index)
     obs_gen = rng.stream(seed, rng.OBSERVATIONS, index)
 
@@ -453,22 +455,6 @@ def moments_from_scenario(stats: ScenarioStats) -> dict:
     return {j: ComponentMoments.from_cells(j, stats.x_table[j - 1], stats.probs,
                                            stats.gamma_mean.T, stats.gamma_var.T)
             for j in range(1, stats.config.node_count + 1)}
-
-
-def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
-    """ConditionalStats for linear rules lambda = W gamma + w0, exactly.
-
-    Row j of W (with offset w0_j) pushed through node j's exact components
-    from `moments_from_scenario`.
-    """
-    w_mat = np.asarray(weight_matrix, dtype=float)
-    w0 = np.asarray(offsets, dtype=float)
-    n = stats.config.node_count
-    if w_mat.shape != (n, n) or w0.shape != (n,):
-        raise ValueError("need square weights and per-node offsets")
-    nodes = np.arange(1, n + 1)
-    return {j: cm.stats_for_row(nodes, w_mat[j - 1], w0[j - 1])
-            for j, cm in moments_from_scenario(stats).items()}
 
 
 def _cell_moments(samples: np.ndarray, codes: np.ndarray, min_cell: int):

@@ -39,8 +39,9 @@ from mpfusion.scenario import (
     nominal_templates,
     run_campaign,
     scenario_stats,
-    stats_for_weights,
 )
+
+from helpers import stats_for_weights
 
 BENCH = ScenarioConfig()          # 5-node chain, rho -5 dB, delta 1 dB, K=100
 MASTER_SEED = 12345

@@ -37,8 +37,9 @@ from mpfusion.scenario import (
     ScenarioConfig,
     moments_from_scenario,
     scenario_stats,
-    stats_for_weights,
 )
+
+from helpers import stats_for_weights
 
 
 def _two_node_moments(sep=2.0, noise=1.0, corr_quality=1.0):
@@ -264,9 +265,11 @@ def _oracle_search_row(moments, indices, alpha, starts, box):
     """One job of `_search_rows`, one start at a time on the node's own
     (unpadded) components."""
     evals = 0
+    bank = ComponentBank.stack({moments.node: moments})
 
     def price(batch):
-        mix = moments.stats_for_rows(indices, np.hstack((np.ones((len(batch), 1)), batch)))
+        mix = bank.stats_for_rows(np.full(len(batch), moments.node), indices,
+                                  np.hstack((np.ones((len(batch), 1)), batch)))
         return mix, solve_thresholds(*mix[-1], alpha)
 
     def fun(batch):
@@ -501,6 +504,16 @@ def test_blind_adapt_rejects_negative_rounds():
     top, gamma, _ = _blind_fixture(slots=200)
     with pytest.raises(ValueError, match="rounds"):
         blind_adapt(gamma, top, alpha=0.1, rounds=-1)
+
+
+@pytest.mark.parametrize("kwargs", [{"rounds": True}, {"rounds": 2.5}, {"rounds": 2.0},
+                                    {"min_cell": 2.5}, {"min_cell": 5.0}],
+                         ids=["rounds-bool", "rounds-fractional", "rounds-float",
+                              "min_cell-fractional", "min_cell-float"])
+def test_blind_adapt_counts_must_be_integers(kwargs):
+    top, gamma, _ = _blind_fixture(slots=200)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        blind_adapt(gamma, top, alpha=0.1, **kwargs)
 
 
 def test_blind_adapt_rejects_one_slot_cells():

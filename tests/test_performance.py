@@ -142,7 +142,8 @@ def test_batched_push_forward_and_solver_match_one_row(data, comps, rows, dim, t
     batch = draw((rows, dim), -2.0, 2.0)
     batch[:, 0] = 1.0                        # own weight one, as in the designs
     indices = np.arange(1, dim + 1)
-    mix = cm.stats_for_rows(indices, batch)
+    mix = ComponentBank.stack({1: cm}).stats_for_rows(np.ones(rows, dtype=np.intp),
+                                                      indices, batch)
     taus = solve_thresholds(*mix[-1], target)
     for g in range(rows):
         one = cm.stats_for_row(indices, batch[g])

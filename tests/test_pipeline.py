@@ -1,9 +1,14 @@
-"""End-to-end evaluation cells: preset parsing, calibration, cell independence."""
+"""End-to-end evaluation cells: preset parsing, calibration, cell independence.
+
+The batched exact thresholds of the linear presets are pinned bit for bit to
+the per-node route (`helpers.stats_for_weights` and `solve_threshold`).
+"""
 
 import numpy as np
 import pytest
 
-from mpfusion import optimizer
+from mpfusion import discrete, optimizer, pipeline
+from mpfusion.performance import solve_threshold
 from mpfusion.pipeline import (
     MethodSpec,
     conditioned_samples,
@@ -12,6 +17,8 @@ from mpfusion.pipeline import (
     sweep_rho,
 )
 from mpfusion.scenario import ScenarioConfig, with_rho
+
+from helpers import stats_for_weights, tree_config
 
 
 def _small_cfg(**kw):
@@ -78,6 +85,86 @@ def test_egc_zero_coefficient_reduces_to_local():
     np.testing.assert_allclose(a.thresholds, b.thresholds, atol=1e-9)
     np.testing.assert_allclose(a.report.pd, b.report.pd, atol=1e-12)
     np.testing.assert_allclose(a.report.pf, b.report.pf, atol=1e-12)
+
+
+def test_unknown_training_labels_rejected_at_entry():
+    # linProp never reads training labels, so only an entry check sees this
+    with pytest.raises(ValueError, match="training label"):
+        evaluate_cell(_small_cfg(), ["linProp"], seed=5, training_labels="bogus",
+                      training_slots=50, calibration_slots=50, eval_slots=50)
+
+
+@pytest.mark.parametrize("slots", [500.0, True], ids=["integral-float", "bool"])
+@pytest.mark.parametrize("which", ["training_slots", "calibration_slots", "eval_slots"])
+def test_cell_slot_counts_must_be_integers(which, slots):
+    counts = {"training_slots": 50, "calibration_slots": 50, "eval_slots": 50}
+    with pytest.raises(ValueError, match="slots"):
+        evaluate_cell(_small_cfg(), ["local"], seed=5, **{**counts, which: slots})
+
+
+# ------------------------------------------------------- linear presets
+
+
+def _bare_cell(cfg, seed=3):
+    top = cfg.topology()
+    return pipeline._Cell(cfg, top, seed, 0, top.node_count - 1, "local", 8, 8, 8)
+
+
+@pytest.mark.parametrize("cfg", [_small_cfg(rho_db=-5.0), _small_cfg(rho_db=-12.0),
+                                 tree_config(), tree_config(-8.0)],
+                         ids=["chain-5dB", "chain-12dB", "tree-16dB", "tree-8dB"])
+def test_linear_thresholds_equal_per_node_route(cfg):
+    cell = _bare_cell(cfg)
+    n = cell.top.node_count
+    egc = pipeline._linear_engine_matrix(cell.top, optimizer.egc_weights(cell.top, 0.3),
+                                         cell.iterations)
+    rand = np.random.default_rng(n).uniform(-0.8, 0.8, (n, n))
+    np.fill_diagonal(rand, 1.0)
+    for w in (np.eye(n), egc, rand):
+        cond = stats_for_weights(cell.stats, w, np.zeros(n))
+        want = np.array([solve_threshold(cond[j], -1, cfg.far) for j in cell.top.nodes])
+        np.testing.assert_array_equal(cell.linear_thresholds(w), want)
+
+
+def test_linear_thresholds_solve_once_per_matrix(monkeypatch):
+    calls = []
+    solve = pipeline.solve_thresholds
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_thresholds", counted)
+    cell = _bare_cell(tree_config())
+    cell.linear_thresholds(np.eye(15))
+    assert calls == [(15, 64)]          # every row, padded to the widest node
+
+
+def test_linear_presets_probe_the_engine_once(monkeypatch):
+    # linear and egc read W off the engine with N unit probes; their
+    # decision variables are W gamma, not another engine run on the slots
+    shapes = []
+    run = discrete.run_messages
+
+    def recorded(top, gamma, algorithm, *args, **kwargs):
+        if algorithm == discrete.LINEARIZED:
+            shapes.append(np.shape(gamma))
+        return run(top, gamma, algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(discrete, "run_messages", recorded)
+    cfg = _small_cfg()
+    top = cfg.topology()
+    evaluate_cell(cfg, ["linear0.3", "egc0.3"], seed=6, training_slots=300,
+                  calibration_slots=400, eval_slots=400)
+    assert shapes == [(5, 5), (5, 5)]
+
+    # the probed matrix is the engine's exact rule on any scores
+    coeffs = optimizer.egc_weights(top, 0.3)
+    w = pipeline._linear_engine_matrix(top, coeffs, 4)
+    gamma = pipeline.run_campaign(cfg, 400, 6, index=pipeline._EVAL).gamma
+    engine = discrete.decision_variables(
+        run(top, gamma, discrete.LINEARIZED, 4, coefficients=coeffs), top, gamma)
+    np.testing.assert_allclose(w @ gamma, engine, rtol=0, atol=1e-12)
 
 
 def test_fusion_beats_local_at_moderate_snr():

@@ -3,7 +3,8 @@
 The stationary law is cross-checked by powering the transition kernel from
 an arbitrary start (an independent route to the same fixed point), and the
 analytic score moments by Monte Carlo campaigns.  `stats_for_weights`
-(analytic) and `empirical_conditional_stats` (counted cells) must price the
+(analytic, the per-node oracle in `helpers`) and
+`empirical_conditional_stats` (counted cells) must price the
 same tail probabilities — each route vouches for the other.
 
 The vectorised hot paths are pinned to the loops they replaced, kept here as
@@ -36,14 +37,13 @@ from mpfusion.scenario import (
     scenario_stats,
     snr_assignment,
     stationary_activity,
-    stats_for_weights,
     with_rho,
     _OBS_CHUNK,
     _transition_matrix,
 )
 from mpfusion.sensing import energy_moments
 
-from helpers import gen_observations, llr_energy, llr_matched
+from helpers import gen_observations, llr_energy, llr_matched, stats_for_weights, tree_config
 
 
 def test_default_scenario_shape():
@@ -289,6 +289,20 @@ def test_uncovered_node_rejected():
 # --------------------------------------------------------------- campaigns
 
 
+@pytest.mark.parametrize("slots", [500.0, 2.5, True, np.float64(40.0), "40"],
+                         ids=["integral-float", "fractional", "bool", "numpy-float",
+                              "string"])
+def test_run_campaign_slots_must_be_an_integer(slots):
+    with pytest.raises(ValueError, match="slots"):
+        run_campaign(ScenarioConfig(), slots, seed=9)
+
+
+def test_run_campaign_accepts_numpy_integer_slots():
+    a = run_campaign(ScenarioConfig(), np.int64(40), seed=9)
+    b = run_campaign(ScenarioConfig(), 40, seed=9)
+    np.testing.assert_array_equal(a.gamma, b.gamma)
+
+
 def test_run_campaign_deterministic():
     cfg = ScenarioConfig()
     a = run_campaign(cfg, 300, seed=9, index=2)
@@ -400,21 +414,11 @@ def test_scenario_stats_probabilities():
     np.testing.assert_array_equal(stats.x_table[2], [-1, 1, 1, 1])
 
 
-def _tree_config():
-    """15-node binary tree, coherent sensing, transmitter p covering
-    (p, 2p, 2p + 1): the benchmark's tree-engines scenario."""
-    edges = tuple((i // 2, i) for i in range(2, 16))
-    coverage = {p: (p, 2 * p, 2 * p + 1) for p in range(1, 8)}
-    return ScenarioConfig(node_count=15, edges=edges, coverage=coverage,
-                          rho_db=-16.0, on_prob=(0.5,) * 7,
-                          sensing_mode="matched")
-
-
 def test_two_calibration_routes_agree_on_linear_rule():
     chain_w = np.eye(5)
     chain_w[1, 0] = 0.5
     chain_w[1, 2] = 0.5
-    tree = _tree_config()
+    tree = tree_config()
     tree_w = np.eye(15)
     for i, j in tree.edges:
         tree_w[i - 1, j - 1] = tree_w[j - 1, i - 1] = 0.3
@@ -460,7 +464,7 @@ def _moments_from_scenario_oracle(stats):
 @pytest.mark.parametrize("cfg", [
     ScenarioConfig(rho_db=-5.0, delta_rho_db=1.0),
     ScenarioConfig(rho_db=-12.0, delta_rho_db=-1.2, sensing_mode="matched"),
-    _tree_config(),
+    tree_config(),
     # every slot copies one common draw: patterns (1, 0) and (0, 1) never occur
     ScenarioConfig(coupling=1.0),
     ScenarioConfig(coupling=1.0, sensing_mode="matched"),

@@ -1,0 +1,45 @@
+"""The benchmark harness instruments the library by name.
+
+`perfbench/tracing.instrument` wraps every public function of the traced
+modules and patches `performance.ConditionalStats.__post_init__` and
+`optimizer.ComponentMoments.stats_for_row`; the span attributes read
+arguments such as `run_campaign`'s `slots` and `run_messages`'s
+`algorithm`.  A library rename that breaks `perfbench/run.py --trace 1`
+fails here.  The check runs in a subprocess because instrumenting patches
+the library's classes for the rest of the process.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_SCRIPT = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import mpfusion, tracing
+from mpfusion import pipeline
+from mpfusion.scenario import ScenarioConfig
+
+tracer = tracing.Tracer("preset-cell")
+wrapped = tracing.instrument(tracer, mpfusion)
+pipeline.evaluate_cell(ScenarioConfig(), ["local", "mp0.1", "egc0.3", "linProp"], 5,
+                       training_slots=60, calibration_slots=200, eval_slots=60)
+names = {{span[1] for span in tracer.spans}}
+print(wrapped, tracer.counters["performance.conditional_stats_builds"],
+      " ".join(sorted(names)))
+"""
+
+
+def test_benchmark_tracer_instruments_the_library():
+    script = _SCRIPT.format(bench=os.path.join(ROOT, "perfbench"),
+                            src=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    wrapped, builds, *names = done.stdout.split()
+    assert int(wrapped) > 30
+    assert int(builds) > 0
+    assert {"pipeline.evaluate_cell", "scenario.run_campaign",
+            "discrete.run_messages"} <= set(names)
