@@ -5,8 +5,9 @@ rather than silently ignored — a typo in a config file should fail loudly,
 not run a subtly different experiment.  The same check retires keys: a
 config written for an older FORMAT_VERSION fails on the first key that no
 longer exists, with no translation shim.  Scenario errors, including a bad
-edge list, surface at load time under "$.scenario".  `to_dict`/`from_dict`
-round-trip.
+edge list, surface at load time under "$.scenario", and every preset label
+is checked by `pipeline.parse_method`, the one label grammar, under
+"$.evaluation.methods[i]".  `to_dict`/`from_dict` round-trip.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .pipeline import parse_method
 from .scenario import ScenarioConfig, _is_integer, _is_real
 
 FORMAT_VERSION = "3.0"
@@ -78,6 +80,11 @@ class EvaluationBlock:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ConfigError("$.evaluation.methods must not be empty")
+        for i, label in enumerate(self.methods):
+            try:
+                parse_method(label)
+            except ValueError as exc:
+                raise ConfigError(f"$.evaluation.methods[{i}]: {exc}") from None
         for t, name in ((self.trials, "trials"),
                         (self.training_slots, "training_slots"),
                         (self.calibration_slots, "calibration_slots")):

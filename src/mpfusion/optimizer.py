@@ -24,7 +24,7 @@ one-node case.
 P1 seeds each row with that node's P2 design, which the caller passes in, so
 a cell solves every neighbourhood design once.  Exact components come from
 `scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
-cell fit `scenario._cell_moments`; both split their cells by hypothesis with
+label-cell fit `_cell_moments`; both split their cells by hypothesis with
 `ComponentMoments.from_cells`.
 """
 
@@ -38,7 +38,6 @@ import numpy as np
 from . import rng
 from .graph import MrfParams, Topology, _is_integer, max_degree, neighbors
 from .performance import ComponentBank, ComponentMoments, mixture_tail, solve_thresholds
-from .scenario import _cell_moments
 
 _COARSE_POINTS = 11
 _SCAN_POINTS = 21
@@ -368,6 +367,40 @@ def _majority_pass(labels: np.ndarray, votes: np.ndarray, top: Topology) -> np.n
         flip = np.sign(tally)
         new[j - 1] = np.where(flip == 0, labels[j - 1], flip).astype(np.int8)
     return new
+
+
+def _cell_moments(samples: np.ndarray, codes: np.ndarray, min_cell: int):
+    """Gaussian fit of the columns of `samples` (d, T) per cell of slots that
+    share a nonnegative integer code (T,).  Cells with fewer than `min_cell`
+    slots or a row without positive ddof=1 variance are folded away.  Returns
+    the kept cells' codes and counts (k,), means and variances (k, d), in
+    ascending code order.  A stable sort makes each cell a run of slots in
+    ascending order, copied C-contiguous so that its moments carry the bits
+    of a boolean-mask selection (a strided view sums rows in another order).
+    """
+    if min_cell < 2:
+        raise ValueError("min_cell must be at least 2: a one-slot cell has "
+                         "no sample variance")
+    # the smallest unsigned type lets the stable sort run as a radix sort
+    order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))),
+                       kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+    counts = np.diff(np.r_[starts, codes.size])
+    ordered = samples[:, order]
+    cells = np.flatnonzero(counts >= min_cell)
+    means = np.empty((cells.size, samples.shape[0]))
+    variances = np.empty_like(means)
+    for row, c in enumerate(cells):
+        # the operations of ndarray.mean and .var(ddof=1), without their wrappers
+        run = ordered[:, starts[c]:starts[c] + counts[c]].copy()
+        means[row] = run.sum(axis=1) / counts[c]
+        run -= means[row][:, None]
+        run *= run
+        variances[row] = run.sum(axis=1) / (counts[c] - 1)
+    keep = ~np.any(variances <= 0, axis=1)
+    cells = cells[keep]
+    return sorted_codes[starts[cells]], counts[cells], means[keep], variances[keep]
 
 
 def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,

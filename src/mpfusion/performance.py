@@ -5,7 +5,7 @@ have, conditional on the hidden state vector, a Gaussian mixture law.
 `ComponentMoments` describes one node's mixture components by the score
 moments of every node.  `ComponentMoments.from_cells` is the one split of
 cells (activity patterns or label cells) by the node's hypothesis, for the
-exact, the calibration and the blind components alike, and
+exact and the blind components alike, and
 `ComponentBank.stats_for_rows` is the single push-forward from a batch
 of linear rules to their component means and stds: a bank stacks several
 nodes' components, padded to one count, so one batch can mix rules of
@@ -147,8 +147,13 @@ class ComponentBank:
 
     @classmethod
     def stack(cls, moments: dict) -> "ComponentBank":
-        """Bank of a node -> `ComponentMoments` map."""
+        """Bank of a node -> `ComponentMoments` map; each entry must be the
+        components of the node it is keyed by."""
         nodes = sorted(moments)
+        for j in nodes:
+            if moments[j].node != j:
+                raise ValueError(f"components of node {moments[j].node} "
+                                 f"are keyed as node {j}")
         weights, means, variances = {}, {}, {}
         for v in (-1, 1):
             size = max(moments[j].weights[v].size for j in nodes)

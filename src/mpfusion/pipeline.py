@@ -23,10 +23,12 @@ linear and egc read W off the linearized engine by probing it once.  Their
 thresholds invert the exact Gaussian-mixture tail: `_Cell.linear_thresholds`
 prices all rows of W in one batch over the nodes' stacked components and
 hands them to one `solve_thresholds` call, unless the design (linProp,
-linOpt) already priced them.  The mp and bp rules run their engine on the
-campaigns and invert mixtures fitted to per-pattern sample moments of its
-output.  A cell solves its neighbourhood designs once, and linProp and
-linOpt read that one set.
+linOpt) already priced them.  The mp and bp rules are not linear: their
+engine runs on the calibration and on the evaluation campaign, and each
+node's threshold is the (1 - far) quantile of its decision variable over
+the calibration slots where it is idle, which pins its sampled false-alarm
+rate without a model of the law.  A cell solves its neighbourhood designs
+once, and linProp and linOpt read that one set.
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ import numpy as np
 
 from . import discrete, optimizer, rng, scenario
 from .graph import MrfParams, Topology, _is_integer
-from .performance import (ComponentBank, PerfReport, monte_carlo_perf, solve_threshold,
-                          solve_thresholds)
-from .scenario import (Campaign, ScenarioConfig, empirical_conditional_stats,
-                       run_campaign, scenario_stats, with_rho)
+from .performance import ComponentBank, PerfReport, monte_carlo_perf, solve_thresholds
+from .scenario import Campaign, ScenarioConfig, run_campaign, scenario_stats, with_rho
 
 _CAMPAIGNS_PER_CELL = 16          # index stride keeping cells independent
 _TRAIN, _CALIB, _EVAL = 0, 1, 2
@@ -61,6 +61,8 @@ class MethodSpec:
 
 def parse_method(label: str) -> MethodSpec:
     """Parse a preset label like 'mp0.1', 'egc0.3', 'linProp', 'local'."""
+    if not isinstance(label, str):
+        raise ValueError(f"method label must be a string, got {label!r}")
     label = label.strip()
     if label in _PLAIN_LABELS:
         return MethodSpec(label, label)
@@ -164,19 +166,24 @@ class _Cell:
         mix = self.bank.stats_for_rows(nodes, nodes, weights)
         return solve_thresholds(*mix[-1], self.cfg.far)
 
-    def empirical_thresholds(self, lambda_fn) -> np.ndarray:
-        """Pattern-cell Gaussian-moment thresholds for a nonlinear rule."""
-        lam = lambda_fn(self.calib.gamma)
-        cond = empirical_conditional_stats(lam, self.calib.x, self.calib.activity)
-        return np.array([solve_threshold(cond[j], -1, self.cfg.far)
-                         for j in self.top.nodes])
+    def empirical_thresholds(self, lam) -> np.ndarray:
+        """Thresholds of a rule from its decision variables `lam` (N, T) on
+        the calibration campaign: node j's is the (1 - far) quantile of
+        lambda_j over the slots where x_j = -1."""
+        taus = np.empty(self.top.node_count)
+        for j in self.top.nodes:
+            idle = lam[j - 1, self.calib.x[j - 1] == -1]
+            if idle.size == 0:
+                raise ValueError(f"no calibration slots with node {j} in state -1")
+            taus[j - 1] = np.quantile(idle, 1.0 - self.cfg.far)
+        return taus
 
 
-def _engine_lambda(top: Topology, algorithm: str, iterations: int, params):
-    def fn(gamma):
-        state = discrete.run_messages(top, gamma, algorithm, iterations, params=params)
-        return discrete.decision_variables(state, top, gamma)
-    return fn
+def _engine_lambda(cell: _Cell, algorithm: str, params, gamma) -> np.ndarray:
+    """Decision variables of a message-passing engine on the scores `gamma`."""
+    state = discrete.run_messages(cell.top, gamma, algorithm, cell.iterations,
+                                  params=params)
+    return discrete.decision_variables(state, cell.top, gamma)
 
 
 def _linear_engine_matrix(top: Topology, coefficients, iterations: int) -> np.ndarray:
@@ -256,8 +263,9 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
     if spec.kind in ("mp", "bp"):
         params = cell.learned_params(spec.param)
         algorithm = discrete.MAX_PRODUCT if spec.kind == "mp" else discrete.SUM_PRODUCT
-        lam_fn = _engine_lambda(cell.top, algorithm, cell.iterations, params)
-        taus, lam = cell.empirical_thresholds(lam_fn), lam_fn(cell.eval.gamma)
+        taus = cell.empirical_thresholds(
+            _engine_lambda(cell, algorithm, params, cell.calib.gamma))
+        lam = _engine_lambda(cell, algorithm, params, cell.eval.gamma)
         extras = {"couplings": _couplings(params)}
     else:
         weights, taus, extras = _linear_rule(cell, spec)
@@ -290,7 +298,9 @@ def evaluate_cell(cfg: ScenarioConfig, methods, seed: int, *,
     if training_labels not in _TRAINING_LABELS:
         raise ValueError(f"unknown training label source {training_labels!r}; "
                          f"expected one of {', '.join(_TRAINING_LABELS)}")
-    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    specs = [m if isinstance(m, MethodSpec) else parse_method(m) for m in methods]
+    if not _is_integer(cell_index) or cell_index < 0:
+        raise ValueError(f"cell_index must be a nonnegative integer, got {cell_index!r}")
     top = cfg.topology()
     cell = _Cell(cfg, top, seed, cell_index, _rounds(top, iterations), training_labels,
                  training_slots, calibration_slots, eval_slots)

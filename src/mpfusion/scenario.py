@@ -29,11 +29,9 @@ The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (exact per-pattern components of every node) ->
 the single push-forward `performance.ComponentBank.stats_for_rows`, which
 prices every row of a weight matrix in one batch over the nodes' stacked
-components (`pipeline._Cell.linear_thresholds`).  The sampled route,
-`empirical_conditional_stats`, fits cells with `_cell_moments`, as
-`optimizer.blind_adapt` does its label cells.  All three split their cells
-(patterns or label cells) by hypothesis with the one
-`performance.ComponentMoments.from_cells`.
+components (`pipeline._Cell.linear_thresholds`).  The patterns are split
+by hypothesis with `performance.ComponentMoments.from_cells`, the split
+`optimizer.blind_adapt` also applies to its label cells.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import numpy as np
 
 from . import rng, sensing
 from .graph import Topology, _is_integer, chain
-from .performance import ComponentMoments, ConditionalStats
+from .performance import ComponentMoments
 
 _OBS_CHUNK = 2048
 
@@ -455,78 +453,6 @@ def moments_from_scenario(stats: ScenarioStats) -> dict:
     return {j: ComponentMoments.from_cells(j, stats.x_table[j - 1], stats.probs,
                                            stats.gamma_mean.T, stats.gamma_var.T)
             for j in range(1, stats.config.node_count + 1)}
-
-
-def _cell_moments(samples: np.ndarray, codes: np.ndarray, min_cell: int):
-    """Gaussian fit of the columns of `samples` (d, T) per cell of slots that
-    share a nonnegative integer code (T,).  Cells with fewer than `min_cell`
-    slots or a row without positive ddof=1 variance are folded away.  Returns
-    the kept cells' codes and counts (k,), means and variances (k, d), in
-    ascending code order.  A stable sort makes each cell a run of slots in
-    ascending order, copied C-contiguous so that its moments carry the bits
-    of a boolean-mask selection (a strided view sums rows in another order).
-    """
-    if min_cell < 2:
-        raise ValueError("min_cell must be at least 2: a one-slot cell has "
-                         "no sample variance")
-    # the smallest unsigned type lets the stable sort run as a radix sort
-    order = np.argsort(codes.astype(np.min_scalar_type(codes.max(initial=0))),
-                       kind="stable")
-    sorted_codes = codes[order]
-    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-    counts = np.diff(np.r_[starts, codes.size])
-    ordered = samples[:, order]
-    cells = np.flatnonzero(counts >= min_cell)
-    means = np.empty((cells.size, samples.shape[0]))
-    variances = np.empty_like(means)
-    for row, c in enumerate(cells):
-        # the operations of ndarray.mean and .var(ddof=1), without their wrappers
-        run = ordered[:, starts[c]:starts[c] + counts[c]].copy()
-        means[row] = run.sum(axis=1) / counts[c]
-        run -= means[row][:, None]
-        run *= run
-        variances[row] = run.sum(axis=1) / (counts[c] - 1)
-    keep = ~np.any(variances <= 0, axis=1)
-    cells = cells[keep]
-    return sorted_codes[starts[cells]], counts[cells], means[keep], variances[keep]
-
-
-def empirical_conditional_stats(lam: np.ndarray, x: np.ndarray,
-                                activity: np.ndarray,
-                                min_cell: int = 5) -> dict:
-    """Fit per-pattern Gaussian components to sampled decision variables.
-
-    For each node, slots are split by hypothesis and activity pattern; each
-    cell contributes one component with its sample mean/std and its
-    relative frequency within its hypothesis (`ComponentMoments.from_cells`).
-    Cells thinner than `min_cell` slots (at least 2) or without spread are
-    folded away (dropped and the rest renormalized) by `_cell_moments`, the
-    fit `optimizer.blind_adapt` also uses.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n, slots = lam.shape
-    if x.shape != (n, slots) or activity.shape[0] != slots:
-        raise ValueError("mismatched campaign arrays")
-    if not np.all((x == 1) | (x == -1)):
-        raise ValueError("node states must be +-1 valued")
-    p = activity.shape[1]
-    patterns = activity.astype(np.int64) @ (1 << np.arange(p))
-    out = {}
-    for j in range(1, n + 1):
-        for v in (-1, 1):
-            if not np.any(x[j - 1] == v):
-                raise ValueError(
-                    f"no calibration slots with node {j} in state {v:+d}")
-        # the state bit above the pattern bits puts state -1's cells first
-        codes, counts, means, variances = _cell_moments(
-            lam[j - 1:j], np.where(x[j - 1] == 1, patterns + (1 << p), patterns),
-            min_cell)
-        cm = ComponentMoments.from_cells(j, np.where(codes >> p, 1, -1), counts,
-                                         means, variances)
-        out[j] = ConditionalStats(j, cm.weights,
-                                  {v: cm.means[v][:, 0] for v in (-1, 1)},
-                                  {v: np.sqrt(cm.variances[v][:, 0]) for v in (-1, 1)})
-    return out
 
 
 def conditioned_campaign(config: ScenarioConfig, slots: int, seed: int,

@@ -186,6 +186,16 @@ def test_non_numeric_level_is_a_clean_error(tmp_path, capsys):
     assert "$.scenario: rho_db must be a finite number" in capsys.readouterr().err
 
 
+def test_non_label_method_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"evaluation": {"methods": [5]}}))
+    rc = main(["simulate", "--config", str(path), "--out",
+               str(tmp_path / "never")])
+    assert rc == 2
+    assert "error: $.evaluation.methods[0]: method label must be a string" \
+        in capsys.readouterr().err
+
+
 def test_json_reports_have_no_nan_tokens(tmp_path):
     cfg = _fast_config(tmp_path)
     out = tmp_path / "nantest"

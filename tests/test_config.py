@@ -153,6 +153,14 @@ def test_methods_must_be_list():
     assert cfg.evaluation.methods == ("local", "bp0.3")
 
 
+@pytest.mark.parametrize("methods,index", [
+    ([5], 0), (["local", "mp"], 1), (["local", "linOpt", None], 2),
+], ids=["int", "bad-label", "null"])
+def test_method_labels_checked_at_load(methods, index):
+    with pytest.raises(ConfigError, match=rf"^\$\.evaluation\.methods\[{index}\]: "):
+        from_dict({"evaluation": {"methods": methods}})
+
+
 def test_detector_block_validation():
     with pytest.raises(ConfigError):
         DetectorBlock(iterations=0)

@@ -436,6 +436,19 @@ def test_optimize_p1_checks_its_neighbourhood_designs(node, design, message):
         optimize_p1(moments, top, 0.1, hood, seed=3)
 
 
+@pytest.mark.parametrize("design", ["p2", "neighbourhood", "p1"])
+def test_designs_reject_components_keyed_to_another_node(design):
+    moments, top, hood = _p1_inputs()
+    misfiled = {**moments, 3: moments[1]}
+    with pytest.raises(ValueError, match="components of node 1 are keyed as node 3"):
+        if design == "p2":
+            optimize_p2(moments[1], top, 3, alpha=0.1)
+        elif design == "neighbourhood":
+            neighbourhood_designs(misfiled, top, 0.1)
+        else:
+            optimize_p1(misfiled, top, 0.1, hood)
+
+
 # -------------------------------------------------------------- equal gain
 
 

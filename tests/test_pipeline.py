@@ -1,13 +1,16 @@
 """End-to-end evaluation cells: preset parsing, calibration, cell independence.
 
 The batched exact thresholds of the linear presets are pinned bit for bit to
-the per-node route (`helpers.stats_for_weights` and `solve_threshold`).
+the per-node route (`helpers.stats_for_weights` and `solve_threshold`); the
+engine presets' thresholds are held against the false-alarm rate they give
+on the calibration campaign, recomputed from the engine.
 """
 
 import numpy as np
 import pytest
 
 from mpfusion import discrete, optimizer, pipeline
+from mpfusion.graph import MrfParams
 from mpfusion.performance import solve_threshold
 from mpfusion.pipeline import (
     MethodSpec,
@@ -16,7 +19,7 @@ from mpfusion.pipeline import (
     parse_method,
     sweep_rho,
 )
-from mpfusion.scenario import ScenarioConfig, with_rho
+from mpfusion.scenario import ScenarioConfig, run_campaign, with_rho
 
 from helpers import stats_for_weights, tree_config
 
@@ -51,6 +54,29 @@ def test_parse_method_accepts(label, kind, param):
 def test_parse_method_rejects(label):
     with pytest.raises(ValueError):
         parse_method(label)
+
+
+def _no_campaigns(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a campaign ran before the entry checks")
+    monkeypatch.setattr(pipeline, "run_campaign", ran)
+
+
+@pytest.mark.parametrize("entry", [5, None, ("mp", 0.1)], ids=["int", "none", "tuple"])
+def test_evaluate_cell_rejects_non_label_entries_at_entry(entry, monkeypatch):
+    _no_campaigns(monkeypatch)
+    with pytest.raises(ValueError, match="method label must be a string"):
+        evaluate_cell(_small_cfg(), ["local", entry], seed=5, training_slots=50,
+                      calibration_slots=50, eval_slots=50)
+
+
+@pytest.mark.parametrize("index", [True, -1, 1.0, 0.5],
+                         ids=["bool", "negative", "integral-float", "fractional"])
+def test_cell_index_must_be_a_nonnegative_integer(index, monkeypatch):
+    _no_campaigns(monkeypatch)
+    with pytest.raises(ValueError, match="cell_index"):
+        evaluate_cell(_small_cfg(), ["local"], seed=5, cell_index=index,
+                      training_slots=50, calibration_slots=50, eval_slots=50)
 
 
 def test_evaluate_cell_accepts_prebuilt_specs():
@@ -198,6 +224,36 @@ def test_mp_preset_records_couplings():
     assert learned is not None
     for edge, j in learned.items():
         assert abs(j) <= 0.3 + 1e-12
+
+
+@pytest.mark.parametrize("label", ["mp1.0", "bp0.3"])
+def test_engine_thresholds_pin_calibration_far(label):
+    # node j's threshold is the (1 - far) quantile of its n0 idle calibration
+    # slots, so the calibration campaign's own FAR is within 1/n0 of far
+    cfg, seed, slots = _small_cfg(), 26, 3000
+    (res,) = evaluate_cell(cfg, [label], seed=seed, training_slots=500,
+                           calibration_slots=slots, eval_slots=100)
+    top = cfg.topology()
+    params = MrfParams(top, {tuple(map(int, e.split("-"))): c
+                             for e, c in res.extras["couplings"].items()},
+                       convention="merged")
+    calib = run_campaign(cfg, slots, seed, index=pipeline._CALIB)
+    algorithm = discrete.MAX_PRODUCT if label.startswith("mp") else discrete.SUM_PRODUCT
+    state = discrete.run_messages(top, calib.gamma, algorithm, top.node_count - 1,
+                                  params=params)
+    lam = discrete.decision_variables(state, top, calib.gamma)
+    for j in top.nodes:
+        idle = calib.x[j - 1] == -1
+        far = np.mean(lam[j - 1, idle] > res.thresholds[j - 1])
+        assert abs(far - cfg.far) <= 1.0 / idle.sum()
+
+
+def test_engine_thresholds_need_an_idle_calibration_slot():
+    # duty cycle 1 makes the all-on pattern absorbing: no node is ever idle
+    cfg = ScenarioConfig(on_prob=(1.0, 1.0), coupling=0.0)
+    with pytest.raises(ValueError, match="no calibration slots with node 1 in state -1"):
+        evaluate_cell(cfg, ["mp0.3"], seed=5, training_labels="genie",
+                      training_slots=50, calibration_slots=50, eval_slots=50)
 
 
 def test_lin_presets_share_one_neighbourhood_design_per_node(monkeypatch):

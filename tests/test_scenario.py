@@ -2,15 +2,14 @@
 
 The stationary law is cross-checked by powering the transition kernel from
 an arbitrary start (an independent route to the same fixed point), and the
-analytic score moments by Monte Carlo campaigns.  `stats_for_weights`
-(analytic, the per-node oracle in `helpers`) and
-`empirical_conditional_stats` (counted cells) must price the
-same tail probabilities — each route vouches for the other.
+analytic score moments by Monte Carlo campaigns.  The tails of
+`stats_for_weights` (analytic, the per-node oracle in `helpers`) must match
+the tail rates a sampled campaign counts — each route vouches for the other.
 
 The vectorised hot paths are pinned to the loops they replaced, kept here as
 oracles: the per-slot activity step, the per-entry transition kernel, the
-masked per-cell calibration fit, the masked per-node split of the exact
-pattern components and the per-sample sensing statistics.
+masked per-node split of the exact pattern components and the per-sample
+sensing statistics.
 """
 
 import math
@@ -21,13 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.performance import ComponentMoments, ConditionalStats, gfun
+from mpfusion.performance import ComponentMoments, gfun
 from mpfusion.scenario import (
     Campaign,
     ScenarioConfig,
     conditioned_campaign,
     draw_activity,
-    empirical_conditional_stats,
     link_amplitudes,
     moments_from_scenario,
     node_states,
@@ -431,12 +429,12 @@ def test_two_calibration_routes_agree_on_linear_rule():
         analytic = stats_for_weights(scenario_stats(cfg), w, w0)
         camp = run_campaign(cfg, slots, seed=15)
         lam = w @ camp.gamma + w0[:, None]
-        empirical = empirical_conditional_stats(lam, camp.x, camp.activity)
         for j in nodes:
             for v in (-1, 1):
+                sampled = lam[j - 1, camp.x[j - 1] == v]
                 for tau in (-0.4, 0.0, 0.6):
                     p_ana = gfun(tau, v, analytic[j])
-                    p_emp = gfun(tau, v, empirical[j])
+                    p_emp = float(np.mean(sampled > tau))
                     assert abs(p_ana - p_emp) < 4 * math.sqrt(
                         p_ana * (1 - p_ana) / slots + 1e-6) + 0.01
 
@@ -499,119 +497,6 @@ def test_stats_for_weights_never_on_node_raises():
     stats = scenario_stats(cfg)
     with pytest.raises(ValueError):
         stats_for_weights(stats, np.eye(5), np.zeros(5))
-
-
-def test_empirical_stats_drop_thin_cells():
-    gen = rng.stream(56, rng.GENERIC, 0)
-    lam = gen.standard_normal((1, 1000))
-    x = np.ones((1, 1000), dtype=np.int8)
-    x[0, :4] = -1  # four slots below min_cell
-    activity = np.zeros((1000, 1), dtype=np.int8)
-    activity[4:] = 1
-    with pytest.raises(ValueError):
-        # only thin cells exist for v = -1
-        empirical_conditional_stats(lam, x, activity, min_cell=5)
-
-
-def test_empirical_stats_reject_one_slot_cells():
-    lam = np.arange(12.0)[None]
-    x = np.where(np.arange(12) < 6, -1, 1)[None].astype(np.int8)
-    activity = np.zeros((12, 1), dtype=np.int8)
-    activity[0] = 1     # a one-slot pattern cell
-    with pytest.raises(ValueError, match="min_cell"):
-        empirical_conditional_stats(lam, x, activity, min_cell=1)
-
-
-def test_empirical_stats_reject_states_other_than_pm1():
-    x = np.ones((1, 12), dtype=np.int8)
-    x[0, :3] = 0
-    with pytest.raises(ValueError, match="node states"):
-        empirical_conditional_stats(np.arange(12.0)[None], x,
-                                    np.zeros((12, 1), dtype=np.int8))
-
-
-def _empirical_stats_oracle(lam, x, activity, min_cell):
-    """The per-cell masked fit: one boolean mask over all slots per
-    (node, hypothesis, pattern) cell.  A node without slots in one state
-    fails before any of its cells is fitted."""
-    n = lam.shape[0]
-    labels = activity.astype(np.int64) @ (1 << np.arange(activity.shape[1]))
-    out = {}
-    for j in range(1, n + 1):
-        for v in (-1, 1):
-            if int(np.sum(x[j - 1] == v)) == 0:
-                raise ValueError(
-                    f"no calibration slots with node {j} in state {v:+d}")
-        weights_by_v, means_by_v, stds_by_v = {}, {}, {}
-        for v in (-1, 1):
-            sel = x[j - 1] == v
-            cells = []
-            for lab in np.unique(labels[sel]):
-                cell = sel & (labels == lab)
-                count = int(cell.sum())
-                if count < min_cell:
-                    continue
-                samples = lam[j - 1, cell]
-                sd = float(np.std(samples, ddof=1))
-                if sd <= 0:
-                    continue
-                cells.append((count, float(np.mean(samples)), sd))
-            if not cells:
-                raise ValueError(
-                    f"node {j} has no cell with mass in state {v:+d}")
-            counts = np.array([c for c, _, _ in cells], dtype=float)
-            weights_by_v[v] = counts / counts.sum()
-            means_by_v[v] = np.array([m for _, m, _ in cells])
-            stds_by_v[v] = np.array([s for _, _, s in cells])
-        out[j] = ConditionalStats(j, weights_by_v, means_by_v, stds_by_v)
-    return out
-
-
-def _fit_or_error(fit, *args):
-    try:
-        return fit(*args)
-    except ValueError as err:
-        return str(err)
-
-
-@st.composite
-def _calibration_cases(draw):
-    n = draw(st.integers(1, 3))
-    p = draw(st.integers(1, 3))
-    slots = draw(st.integers(1, 150))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    gen = np.random.default_rng(seed)
-    activity = (gen.random((slots, p)) < draw(st.floats(0.0, 1.0))).astype(np.int8)
-    if draw(st.booleans()):
-        # node truth as campaigns give it: a function of the pattern
-        x = np.where(gen.random((n, 2 ** p)) < 0.5, 1, -1).astype(np.int8)
-        x = x[:, activity.astype(np.int64) @ (1 << np.arange(p))]
-    else:
-        x = np.where(gen.random((n, slots)) < draw(st.floats(0.0, 1.0)),
-                     1, -1).astype(np.int8)
-    # without noise, a few distinct values leave some cells with zero spread
-    levels = draw(st.integers(1, 4))
-    noise = draw(st.sampled_from([0.0, 1.0]))
-    lam = (gen.integers(0, levels, (n, slots)) * 0.5
-           + noise * gen.standard_normal((n, slots)))
-    return lam, x, activity, draw(st.integers(2, 8))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_calibration_cases())
-def test_empirical_stats_match_masked_cells(case):
-    lam, x, activity, min_cell = case
-    got = _fit_or_error(empirical_conditional_stats, lam, x, activity, min_cell)
-    want = _fit_or_error(_empirical_stats_oracle, lam, x, activity, min_cell)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert got.keys() == want.keys()
-    for j in want:
-        for v in (-1, 1):
-            for field in ("weights", "means", "stds"):
-                np.testing.assert_array_equal(getattr(got[j], field)[v],
-                                              getattr(want[j], field)[v])
 
 
 def test_conditioned_campaign_pins_pattern():

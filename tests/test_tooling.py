@@ -5,8 +5,10 @@ modules and patches `performance.ConditionalStats.__post_init__` and
 `optimizer.ComponentMoments.stats_for_row`; the span attributes read
 arguments such as `run_campaign`'s `slots` and `run_messages`'s
 `algorithm`.  A library rename that breaks `perfbench/run.py --trace 1`
-fails here.  The check runs in a subprocess because instrumenting patches
-the library's classes for the rest of the process.
+fails here.  No cell builds a `ConditionalStats`, so both class patches are
+exercised by one `stats_for_row` call on exact components after the cell,
+which each must count exactly once.  The check runs in a subprocess because
+instrumenting patches the library's classes for the rest of the process.
 """
 
 import os
@@ -19,16 +21,18 @@ _SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
 import mpfusion, tracing
-from mpfusion import pipeline
+from mpfusion import pipeline, scenario
 from mpfusion.scenario import ScenarioConfig
 
 tracer = tracing.Tracer("preset-cell")
 wrapped = tracing.instrument(tracer, mpfusion)
 pipeline.evaluate_cell(ScenarioConfig(), ["local", "mp0.1", "egc0.3", "linProp"], 5,
                        training_slots=60, calibration_slots=200, eval_slots=60)
+exact = scenario.moments_from_scenario(scenario.scenario_stats(ScenarioConfig()))
+mpfusion.optimizer.ComponentMoments.stats_for_row(exact[2], [2, 1, 3], [1.0, 0.3, 0.3])
 names = {{span[1] for span in tracer.spans}}
 print(wrapped, tracer.counters["performance.conditional_stats_builds"],
-      " ".join(sorted(names)))
+      tracer.counters["optimizer.objective_evals"], " ".join(sorted(names)))
 """
 
 
@@ -38,8 +42,8 @@ def test_benchmark_tracer_instruments_the_library():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    wrapped, builds, *names = done.stdout.split()
+    wrapped, builds, evals, *names = done.stdout.split()
     assert int(wrapped) > 30
-    assert int(builds) > 0
+    assert (int(builds), int(evals)) == (1, 1)
     assert {"pipeline.evaluate_cell", "scenario.run_campaign",
             "discrete.run_messages"} <= set(names)
