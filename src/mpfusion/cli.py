@@ -295,6 +295,7 @@ def cmd_optimize(args) -> int:
         payload["blind"] = {
             "label_accuracy_initial": blind.initial_accuracy,
             "label_accuracy_final": blind.final_accuracy,
+            "folded_cells": blind.folded_cells,
             "solutions": {str(j): {"coefficients": s.coefficients,
                                    "threshold": s.threshold,
                                    "pd": s.pd,

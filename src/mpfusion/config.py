@@ -156,6 +156,8 @@ def from_dict(d: dict) -> RunConfig:
     seed = d.get("seed", RunConfig.seed)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("$.seed must be an integer")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"$.seed must lie in [0, 2**64), got {seed}")
     try:
         detector = DetectorBlock(**det)
         evaluation = EvaluationBlock(**{k: (tuple(v) if k == "methods" else v)

@@ -13,19 +13,19 @@ rate, inside [-2, 2] off the unit diagonal.
 Both designs run one row search, `_search_rows`: cyclic coordinate ascent
 on the model Pd from every (node, start) pair in lockstep, where each scan
 prices the 21-point grids of all live pairs in one batch through
-`performance.ComponentBank.stats_for_rows`, the single push-forward from
-linear rules to Gaussian mixtures over the nodes' components padded to one
-count, and `performance.solve_thresholds`, which pins every false-alarm rate
-of the batch at once.  Each pair keeps its own ascent state, so its path is
+`performance.ComponentMoments.stats_for_rows`, the single push-forward from
+linear rules to Gaussian mixtures over the nodes' components, and
+`performance.solve_thresholds`, which pins every false-alarm rate of the
+batch at once.  Each pair keeps its own ascent state, so its path is
 the one it would take alone.  `optimize_p1` runs all nodes in one search;
 `neighbourhood_designs` runs the nodes of each degree in one search, after
 pricing their coarse start grids in one batch, and `optimize_p2` is its
 one-node case.
 P1 seeds each row with that node's P2 design, which the caller passes in, so
-a cell solves every neighbourhood design once.  Exact components come from
-`scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
-label-cell fit `_cell_moments`; both split their cells by hypothesis with
-`ComponentMoments.from_cells`.
+a cell solves every neighbourhood design once.  Every design takes one
+`ComponentMoments`: exact components from `scenario.moments_from_scenario`,
+blind ones from `blind_adapt` through the label-cell fit `_cell_moments`,
+both built by `ComponentMoments.from_cells`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import rng
 from .graph import MrfParams, Topology, _is_integer, max_degree, neighbors
-from .performance import ComponentBank, ComponentMoments, mixture_tail, solve_thresholds
+from .performance import ComponentMoments, mixture_tail, solve_thresholds
 
 _COARSE_POINTS = 11
 _SCAN_POINTS = 21
@@ -93,11 +93,11 @@ class P2Solution:
     converged: bool
 
 
-def _price(bank: ComponentBank, nodes, indices, coefficients, alpha: float):
+def _price(moments: ComponentMoments, nodes, indices, coefficients, alpha: float):
     """Mixtures of the G rules of nodes[g] with own weight one before the
     (G, d) `coefficients` over the scores indices[g], and their thresholds
     (G,) at false-alarm rate alpha."""
-    mix = bank.stats_for_rows(
+    mix = moments.stats_for_rows(
         nodes, indices, np.hstack((np.ones((len(coefficients), 1)), coefficients)))
     return mix, solve_thresholds(*mix[-1], alpha)
 
@@ -111,7 +111,7 @@ def stability_box(top: Topology) -> float:
     return _UNBOUNDED_BOX if d <= 1 else 1.0 / (d - 1)
 
 
-def _search_rows(bank: ComponentBank, jobs, alpha: float, box: float) -> list:
+def _search_rows(moments: ComponentMoments, jobs, alpha: float, box: float) -> list:
     """Best rows of coordinate ascent on the model Pd, every job in lockstep.
 
     A job is (node, indices, starts): the rule of `node` weighs the score of
@@ -137,7 +137,7 @@ def _search_rows(bank: ComponentBank, jobs, alpha: float, box: float) -> list:
     pairs = np.arange(len(owner))
 
     def pd_of(who, batch):
-        mix, tau = _price(bank, nodes[owner[who]], cols[owner[who]], batch, alpha)
+        mix, tau = _price(moments, nodes[owner[who]], cols[owner[who]], batch, alpha)
         return mixture_tail(*mix[1], tau)
 
     value = pd_of(pairs, point)
@@ -192,7 +192,7 @@ def _search_rows(bank: ComponentBank, jobs, alpha: float, box: float) -> list:
     ends = np.cumsum([len(starts) for _, _, starts in jobs])
     best = [a + int(np.argmax(value[a:b]))
             for a, b in zip(np.concatenate(([0], ends[:-1])), ends)]
-    mix, tau = _price(bank, nodes, cols, point[best], alpha)
+    mix, tau = _price(moments, nodes, cols, point[best], alpha)
     pf, pd = mixture_tail(*mix[-1], tau), mixture_tail(*mix[1], tau)
     return [(point[p], bool(converged[p]), float(tau[k]), float(pf[k]), float(pd[k]),
              int(evals[owner == k].sum())) for k, p in enumerate(best)]
@@ -203,13 +203,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def _neighbourhood_group(moments: dict, top: Topology, group, alpha: float,
-                         seed: int | None) -> dict:
+def _neighbourhood_group(moments: ComponentMoments, top: Topology, group,
+                         alpha: float, seed: int | None) -> dict:
     """`optimize_p2` designs of the nodes of `group`, which share a degree,
     from one lockstep search; node -> P2Solution."""
     dim = len(neighbors(top, group[0]))
     box = stability_box(top) * (1.0 - 1e-9)
-    bank = ComponentBank.stack({j: moments[j] for j in group})
     cols = np.array([[j] + list(neighbors(top, j)) for j in group], dtype=np.intp)
 
     starts, grid_evals = {j: [np.zeros(dim)] for j in group}, 0
@@ -217,7 +216,8 @@ def _neighbourhood_group(moments: dict, top: Topology, group, alpha: float,
         axes = np.linspace(-box, box, _COARSE_POINTS)
         mesh = np.meshgrid(*([axes] * dim), indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
-        mix, tau = _price(bank, np.repeat(group, len(grid)), np.repeat(cols, len(grid), axis=0),
+        mix, tau = _price(moments, np.repeat(group, len(grid)),
+                          np.repeat(cols, len(grid), axis=0),
                           np.tile(grid, (len(group), 1)), alpha)
         pd = mixture_tail(*mix[1], tau).reshape(len(group), len(grid))
         for j, row in zip(group, pd):
@@ -228,7 +228,7 @@ def _neighbourhood_group(moments: dict, top: Topology, group, alpha: float,
             gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, j)
             starts[j] += [gen.uniform(-box, box, size=dim) for _ in range(8)]
 
-    found = _search_rows(bank, [(j, c, starts[j]) for j, c in zip(group, cols)],
+    found = _search_rows(moments, [(j, c, starts[j]) for j, c in zip(group, cols)],
                          alpha, box)
     return {j: P2Solution(j, dict(zip(c[1:].tolist(), (float(x) for x in point))),
                           tau, pd, alpha, grid_evals + evals, converged)
@@ -237,7 +237,8 @@ def _neighbourhood_group(moments: dict, top: Topology, group, alpha: float,
 
 def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
                 alpha: float, seed: int | None = None) -> P2Solution:
-    """Tune neighbour coefficients for one node at a pinned false-alarm rate.
+    """Tune neighbour coefficients for one node at a pinned false-alarm rate,
+    on that node's components in `moments`.
 
     Own score keeps weight one; the neighbour coefficients live in the open
     stability box.  Multi-start (origin plus a coarse grid or seeded random
@@ -246,13 +247,13 @@ def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
     the evaluated candidates and ascent never steps downhill.
     """
     _check_alpha(alpha)
-    return _neighbourhood_group({node: moments}, top, [node], alpha, seed)[node]
+    return _neighbourhood_group(moments, top, [node], alpha, seed)[node]
 
 
-def neighbourhood_designs(moments: dict, top: Topology, alpha: float,
+def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float,
                           seed: int | None = None) -> dict:
-    """Node -> `optimize_p2` design for every node of `top`, from its
-    components `moments[node]`.  Nodes of equal degree share one lockstep
+    """Node -> `optimize_p2` design for every node of `top`, each on its own
+    components in `moments`.  Nodes of equal degree share one lockstep
     search; each design equals the node's own `optimize_p2`."""
     _check_alpha(alpha)
     groups = {}
@@ -277,8 +278,8 @@ class P1Solution:
     notes: tuple = field(default=())
 
 
-def optimize_p1(moments: dict, top: Topology, alpha: float, neighbourhood: dict,
-                seed: int | None = None) -> P1Solution:
+def optimize_p1(moments: ComponentMoments, top: Topology, alpha: float,
+                neighbourhood: dict, seed: int | None = None) -> P1Solution:
     """Best-effort network design: per-row detection maximization.
 
     Each node's row (own weight one, all other entries free in [-2, 2]) is
@@ -306,8 +307,7 @@ def optimize_p1(moments: dict, top: Topology, alpha: float, neighbourhood: dict,
             np.zeros(n - 1),
             np.array([hood.coefficients.get(i, 0.0) for i in others]),
             np.clip(gen.normal(scale=0.3, size=n - 1), -_P1_BOX, _P1_BOX)]))
-    found = _search_rows(ComponentBank.stack({j: moments[j] for j in top.nodes}),
-                         jobs, alpha, _P1_BOX)
+    found = _search_rows(moments, jobs, alpha, _P1_BOX)
 
     weight_matrix = np.eye(n)
     thresholds, pf, pd = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -351,8 +351,9 @@ def egc_weights(top: Topology, c0: float) -> dict:
 @dataclass(frozen=True)
 class BlindResult:
     labels: np.ndarray            # (N, T) corrected +-1 labels
-    moments: dict                 # node -> ComponentMoments (one-hop support)
+    moments: ComponentMoments     # every node's, with one-hop support
     solutions: dict               # node -> P2Solution
+    folded_cells: dict            # node -> label cells folded away
     initial_accuracy: float | None = None
     final_accuracy: float | None = None
 
@@ -374,9 +375,10 @@ def _cell_moments(samples: np.ndarray, codes: np.ndarray, min_cell: int):
     share a nonnegative integer code (T,).  Cells with fewer than `min_cell`
     slots or a row without positive ddof=1 variance are folded away.  Returns
     the kept cells' codes and counts (k,), means and variances (k, d), in
-    ascending code order.  A stable sort makes each cell a run of slots in
-    ascending order, copied C-contiguous so that its moments carry the bits
-    of a boolean-mask selection (a strided view sums rows in another order).
+    ascending code order, and the number of cells folded away.  A stable
+    sort makes each cell a run of slots in ascending order, copied
+    C-contiguous so that its moments carry the bits of a boolean-mask
+    selection (a strided view sums rows in another order).
     """
     if min_cell < 2:
         raise ValueError("min_cell must be at least 2: a one-slot cell has "
@@ -400,17 +402,19 @@ def _cell_moments(samples: np.ndarray, codes: np.ndarray, min_cell: int):
         variances[row] = run.sum(axis=1) / (counts[c] - 1)
     keep = ~np.any(variances <= 0, axis=1)
     cells = cells[keep]
-    return sorted_codes[starts[cells]], counts[cells], means[keep], variances[keep]
+    return (sorted_codes[starts[cells]], counts[cells], means[keep], variances[keep],
+            starts.size - cells.size)
 
 
 def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,
-                   min_cell: int) -> dict:
-    """ComponentMoments per node: one cell per pattern of the labels of j and
-    its neighbours, NaN outside that one-hop set, split by j's label with
-    `ComponentMoments.from_cells`.  Node j's label is the top bit of the
-    cell code, so cells keep np.unique's lexicographic order."""
+                   min_cell: int):
+    """Every node's ComponentMoments, from one cell per pattern of the labels
+    of j and its neighbours, NaN outside that one-hop set, split by j's
+    label; and node -> the number of j's cells folded away.  Node j's label
+    is the top bit of the cell code, so cells keep np.unique's
+    lexicographic order.  Every node's labels must hold both classes."""
     n = g.shape[0]
-    moments = {}
+    cells, folded = {}, {}
     for j in top.nodes:
         for v in (-1, 1):
             if not np.any(labels[j - 1] == v):
@@ -419,13 +423,12 @@ def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,
         local = np.array([j] + list(neighbors(top, j)))
         bits = local.size - 1
         codes = (1 << np.arange(bits, -1, -1)) @ (labels[local - 1] == 1)
-        cell_codes, counts, means, variances = _cell_moments(g[local - 1], codes,
-                                                             min_cell)
+        cell_codes, counts, means, variances, folded[j] = _cell_moments(
+            g[local - 1], codes, min_cell)
         spread = np.full((2, cell_codes.size, n), np.nan)
         spread[:, :, local - 1] = means, variances
-        moments[j] = ComponentMoments.from_cells(
-            j, np.where(cell_codes >> bits, 1, -1), counts, *spread)
-    return moments
+        cells[j] = (np.where(cell_codes >> bits, 1, -1), counts, *spread)
+    return ComponentMoments.from_cells(cells), folded
 
 
 def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
@@ -438,8 +441,8 @@ def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
     by majority over {own label} + {votes}; ties keep the previous label.
     The corrected labels define one-hop cells from which Gaussian component
     moments are fitted (cells thinner than `min_cell` slots, at least 2, or
-    without spread are folded away), and a neighbourhood design is run per
-    node on those estimates.
+    without spread are folded away, and `folded_cells` counts them per
+    node), and a neighbourhood design is run per node on those estimates.
 
     If `truth` (N, T) is supplied, initial/final label accuracies are
     reported for diagnostics; it never influences the estimates.
@@ -460,6 +463,6 @@ def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
         labels = _majority_pass(labels, votes, top)
     final_acc = None if truth is None else float(np.mean(labels == truth))
 
-    moments = _blind_moments(g, labels, top, min_cell)
+    moments, folded = _blind_moments(g, labels, top, min_cell)
     solutions = neighbourhood_designs(moments, top, alpha, seed=seed)
-    return BlindResult(labels, moments, solutions, init_acc, final_acc)
+    return BlindResult(labels, moments, solutions, folded, init_acc, final_acc)

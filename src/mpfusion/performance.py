@@ -2,22 +2,21 @@
 
 Closed-form route: decision variables that are linear in the local scores
 have, conditional on the hidden state vector, a Gaussian mixture law.
-`ComponentMoments` describes one node's mixture components by the score
-moments of every node.  `ComponentMoments.from_cells` is the one split of
-cells (activity patterns or label cells) by the node's hypothesis, for the
-exact and the blind components alike, and
-`ComponentBank.stats_for_rows` is the single push-forward from a batch
-of linear rules to their component means and stds: a bank stacks several
-nodes' components, padded to one count, so one batch can mix rules of
-different nodes.  `ComponentMoments.stats_for_row` is its one-node,
-one-row case, giving a `ConditionalStats`.
+`ComponentMoments` holds the mixture components of a set of nodes, each
+described by the score moments of every node, padded to one component
+count.  `ComponentMoments.from_cells` builds it in one pass, splitting each
+node's cells (activity patterns or label cells) by that node's hypothesis,
+for the exact and the blind components alike.
+`ComponentMoments.stats_for_rows` is the single push-forward from a batch
+of linear rules to their component means and stds; one batch can mix rules
+of different nodes.  `ComponentMoments.stats_for_row` is its one-row case,
+giving a `ConditionalStats` of the node's own components.
 The false-alarm / detection probabilities are then mixtures of Q-tails
-(`mixture_tail`, and `gfun` for one `ConditionalStats`).  Thresholds come
-from inverting that curve with one solver, `solve_thresholds`: a
-safeguarded Newton iteration on a batch of mixtures, whose step uses the
-mixture pdf (the tail's closed-form derivative) and falls back to bisection
-of a per-row bracket; it raises rather than return an unconverged value.
-`solve_threshold` is its one-row call.
+(`mixture_tail`).  Thresholds come from inverting that curve with one
+solver, `solve_thresholds`: a safeguarded Newton iteration on a batch of
+mixtures, whose step uses the mixture pdf (the tail's closed-form
+derivative) and falls back to bisection of a per-row bracket; it raises
+rather than return an unconverged value.
 
 Empirical route: `monte_carlo_perf` tallies error rates from simulated
 campaigns, and `gaussianity_check` quantifies how far conditioned samples
@@ -80,64 +79,22 @@ class ConditionalStats:
 
 @dataclass(frozen=True)
 class ComponentMoments:
-    """Per-node mixture components with per-node score moments.
-
-    For v in {-1, +1}: `weights[v]` is (M,), `means[v]` and `variances[v]`
-    are (M, N) — the conditional mean/variance of every node's score under
-    each component.  Entries may be NaN for nodes outside the estimated set
-    (blind estimation only sees one hop); touching a NaN in an objective is
-    an error, not a silent zero.
-    """
-
-    node: int
-    weights: dict
-    means: dict
-    variances: dict
-
-    @classmethod
-    def from_cells(cls, node: int, states, mass, means, variances) -> "ComponentMoments":
-        """Components of `node` from cells of slots or patterns.
-
-        Cell c is one component under hypothesis states[c] (+-1), with
-        weight mass[c] (a probability or a slot count) and score moments
-        means[c], variances[c] (each (N,)).  Cells without mass are dropped,
-        and each hypothesis's weights are renormalized to sum to one.
-        Raises when a hypothesis is left without mass.
-        """
-        weights, by_mean, by_var = {}, {}, {}
-        for v in (-1, 1):
-            sel = (states == v) & (mass > 0)
-            if not sel.any():
-                raise ValueError(f"node {node} has no cell with mass in state {v:+d}")
-            weights[v] = mass[sel] / mass[sel].sum()
-            # boolean selection along the cell axis: C-contiguous copies
-            by_mean[v], by_var[v] = means[sel], variances[sel]
-        return cls(node, weights, by_mean, by_var)
-
-    def stats_for_row(self, indices, row_weights, offset: float = 0.0) -> ConditionalStats:
-        """Gaussian mixture of sum_i w_i gamma_i (+offset) over components."""
-        mix = ComponentBank.stack({self.node: self}).stats_for_rows(
-            [self.node], indices, np.asarray(row_weights, dtype=float)[None], offset)
-        return ConditionalStats(self.node, {v: mix[v][0][0] for v in (-1, 1)},
-                                {v: mix[v][1][0] for v in (-1, 1)},
-                                {v: mix[v][2][0] for v in (-1, 1)})
-
-
-@dataclass(frozen=True)
-class ComponentBank:
-    """Several nodes' mixture components, padded to one component count.
+    """Mixture components of several nodes, padded to one component count.
 
     `nodes` holds the B node ids in ascending order.  For v in {-1, +1}:
-    `weights[v]` is (B, M), `means[v]` and `variances[v]` are (B, M, N),
-    where M is the largest component count among the nodes.  A node with
-    fewer components is filled with weight 0, mean 0 and variance 1, so its
-    padded terms are trailing zeros in every mixture sum, and
+    `weights[v]` is (B, M), `means[v]` and `variances[v]` are (B, M, N) —
+    the conditional mean/variance of every node's score under each
+    component — where M is the largest component count among the nodes.  A
+    node with fewer components is filled with weight 0, mean 0 and variance
+    1, so its padded terms are trailing zeros in every mixture sum, and
     `solve_thresholds` leaves them out of its brackets.  The zeros leave
     each sum bit for bit unchanged while M stays below 8, and also where
     both the node's own count and M are multiples of 8 no larger than 128:
     numpy sums a row of 8 to 128 terms in eight interleaved partial sums,
     which zeros appended in whole blocks of 8 leave as they were.  Other
-    counts of 8 or more can shift that order.
+    counts of 8 or more can shift that order.  Entries may be NaN for nodes
+    outside the estimated set (blind estimation only sees one hop); touching
+    a NaN in a rule is an error, not a silent zero.
     """
 
     nodes: np.ndarray
@@ -146,41 +103,53 @@ class ComponentBank:
     variances: dict
 
     @classmethod
-    def stack(cls, moments: dict) -> "ComponentBank":
-        """Bank of a node -> `ComponentMoments` map; each entry must be the
-        components of the node it is keyed by."""
-        nodes = sorted(moments)
-        for j in nodes:
-            if moments[j].node != j:
-                raise ValueError(f"components of node {moments[j].node} "
-                                 f"are keyed as node {j}")
-        weights, means, variances = {}, {}, {}
-        for v in (-1, 1):
-            size = max(moments[j].weights[v].size for j in nodes)
-            cols = moments[nodes[0]].means[v].shape[1]
-            weights[v] = np.zeros((len(nodes), size))
-            means[v] = np.zeros((len(nodes), size, cols))
-            variances[v] = np.ones((len(nodes), size, cols))
-            for b, j in enumerate(nodes):
-                k = moments[j].weights[v].size
-                weights[v][b, :k] = moments[j].weights[v]
-                means[v][b, :k] = moments[j].means[v]
-                variances[v][b, :k] = moments[j].variances[v]
-        return cls(np.array(nodes), weights, means, variances)
+    def from_cells(cls, cells: dict) -> "ComponentMoments":
+        """Components of every node of `cells`, which maps a node to the
+        (states, mass, means, variances) of its cells of slots or patterns.
 
-    def stats_for_rows(self, nodes, indices, rows, offset: float = 0.0) -> dict:
+        Cell c is one component of the node under hypothesis states[c]
+        (+-1), with weight mass[c] (a probability or a slot count) and score
+        moments means[c], variances[c] (each (N,)).  Cells without mass are
+        dropped, and each hypothesis's weights are renormalized to sum to
+        one.  Raises when a node's hypothesis is left without mass.
+        """
+        nodes = sorted(cells)
+        split = {}
+        for j in nodes:
+            states, mass, means, variances = cells[j]
+            for v in (-1, 1):
+                sel = (states == v) & (mass > 0)
+                if not sel.any():
+                    raise ValueError(f"node {j} has no cell with mass in state {v:+d}")
+                split[j, v] = mass[sel] / mass[sel].sum(), means[sel], variances[sel]
+        fields = ({}, {}, {})             # weights, means, variances
+        for v in (-1, 1):
+            size = max(split[j, v][0].size for j in nodes)
+            for k, pad in enumerate((0.0, 0.0, 1.0)):
+                shape = (len(nodes), size) + split[nodes[0], v][k].shape[1:]
+                fields[k][v] = np.full(shape, pad)
+                for b, j in enumerate(nodes):
+                    fields[k][v][b, :len(split[j, v][k])] = split[j, v][k]
+        return cls(np.array(nodes), *fields)
+
+    def stats_for_rows(self, nodes, indices, rows) -> dict:
         """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[g, i]}
-        (+offset) under the components of node nodes[g].
+        under the components of node nodes[g].
 
         `rows` is (G, d), `nodes` (G,), and `indices` (G, d) or one (d,)
         list for every row.  Returns, for v in {-1, +1}, (weights (G, M),
         means (G, M), stds (G, M)).  Each entry is a product summed along
         its own row, so row g does not depend on the other rows of the batch.
+        Raises when a node of `nodes` has no components here.
         """
         r = np.atleast_2d(np.asarray(rows, dtype=float))
         if r.shape[1] == 0:
             raise ValueError("a rule needs at least one score")
+        nodes = np.asarray(nodes)
         at = np.searchsorted(self.nodes, nodes)
+        held = self.nodes[np.minimum(at, self.nodes.size - 1)] == nodes
+        if not held.all():
+            raise ValueError(f"no components for node {nodes[~held][0]}")
         idx = np.broadcast_to(np.asarray(indices, dtype=np.intp) - 1, r.shape)
         out = {}
         for v in (-1, 1):
@@ -198,8 +167,16 @@ class ComponentBank:
             for k in range(1, r.shape[1]):
                 mean = mean + r[:, k:k + 1] * m[:, k]
                 var = var + r[:, k:k + 1] * r[:, k:k + 1] * s2[:, k]
-            out[v] = (self.weights[v][at], mean + offset, np.sqrt(var))
+            out[v] = (self.weights[v][at], mean, np.sqrt(var))
         return out
+
+    def stats_for_row(self, node: int, indices, row_weights) -> ConditionalStats:
+        """Gaussian mixture of sum_i w_i gamma_i under node's own components
+        (those of positive weight; the padding has weight 0)."""
+        mix = self.stats_for_rows([node], indices, [row_weights])
+        own = {v: mix[v][0][0] > 0 for v in (-1, 1)}
+        return ConditionalStats(node, *({v: mix[v][k][0][own[v]] for v in (-1, 1)}
+                                        for k in range(3)))
 
 
 def mixture_tail(weights, means, stds, tau):
@@ -210,16 +187,6 @@ def mixture_tail(weights, means, stds, tau):
     """
     t = np.asarray(tau, dtype=float)
     return (q_function((t[..., None] - means) / stds) * weights).sum(axis=-1)
-
-
-def gfun(tau, v: int, stats: ConditionalStats):
-    """P{lambda > tau | x_j = v} for the Gaussian-mixture model.
-
-    Strictly decreasing and continuous in tau, with limits 1 and 0, so a
-    root of gfun(tau) = p exists for any p in (0, 1).
-    """
-    out = mixture_tail(stats.weights[v], stats.means[v], stats.stds[v], tau)
-    return float(out) if np.ndim(tau) == 0 else out
 
 
 def solve_thresholds(weights, means, stds, target: float,
@@ -293,17 +260,6 @@ def solve_thresholds(weights, means, stds, target: float,
     raise RuntimeError(
         f"threshold solver missed tol={tol:g} on {act.size} of {len(tau)} "
         f"rows after {_MAX_NEWTON} iterations")
-
-
-def solve_threshold(stats: ConditionalStats, v: int, target: float,
-                    tol: float = _THRESHOLD_TOL) -> float:
-    """Invert the tail mixture: find tau with gfun(tau, v) = target.
-
-    The one-row call of `solve_thresholds`; the result is within `tol` of
-    the target in the tail-probability domain.
-    """
-    return float(solve_thresholds(stats.weights[v], stats.means[v][None],
-                                  stats.stds[v][None], target, tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ Every preset but mp and bp is linear in the scores, so it is fully
 described by its weight matrix W: its decision variables are W gamma, and
 linear and egc read W off the linearized engine by probing it once.  Their
 thresholds invert the exact Gaussian-mixture tail: `_Cell.linear_thresholds`
-prices all rows of W in one batch over the nodes' stacked components and
+prices all rows of W in one batch over the cell's exact components and
 hands them to one `solve_thresholds` call, unless the design (linProp,
 linOpt) already priced them.  The mp and bp rules are not linear: their
 engine runs on the calibration and on the evaluation campaign, and each
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import discrete, optimizer, rng, scenario
 from .graph import MrfParams, Topology, _is_integer
-from .performance import ComponentBank, PerfReport, monte_carlo_perf, solve_thresholds
+from .performance import ComponentMoments, PerfReport, monte_carlo_perf, solve_thresholds
 from .scenario import Campaign, ScenarioConfig, run_campaign, scenario_stats, with_rho
 
 _CAMPAIGNS_PER_CELL = 16          # index stride keeping cells independent
@@ -143,7 +143,7 @@ class _Cell:
         return self._couplings[zeta]
 
     @cached_property
-    def pattern_moments(self) -> dict:
+    def pattern_moments(self) -> ComponentMoments:
         return scenario.moments_from_scenario(self.stats)
 
     @cached_property
@@ -154,16 +154,11 @@ class _Cell:
 
     # -- calibration --------------------------------------------------------
 
-    @cached_property
-    def bank(self) -> ComponentBank:
-        """Every node's exact components, stacked once."""
-        return ComponentBank.stack(self.pattern_moments)
-
     def linear_thresholds(self, weights) -> np.ndarray:
         """Exact-mixture thresholds of the rules lambda = W gamma: row j of
         W under node j's components, all rows priced and solved in one batch."""
         nodes = np.array(self.top.nodes)
-        mix = self.bank.stats_for_rows(nodes, nodes, weights)
+        mix = self.pattern_moments.stats_for_rows(nodes, nodes, weights)
         return solve_thresholds(*mix[-1], self.cfg.far)
 
     def empirical_thresholds(self, lam) -> np.ndarray:
@@ -248,6 +243,7 @@ def _linear_rule(cell: _Cell, spec: MethodSpec):
                  "blind_thresholds": {j: blind.solutions[j].threshold for j in top.nodes},
                  "label_accuracy": {"initial": blind.initial_accuracy,
                                     "final": blind.final_accuracy},
+                 "folded_cells": blind.folded_cells,
                  **_search_extras(blind.solutions)})
     if spec.kind == "linOpt":
         sol = optimizer.optimize_p1(cell.pattern_moments, top, cell.cfg.far,

@@ -26,11 +26,11 @@ receiver samples.  `ScenarioConfig` builds its topology when constructed,
 so a bad edge list fails there.
 
 The analytic route to a linear rule's mixture is `scenario_stats` ->
-`moments_from_scenario` (exact per-pattern components of every node) ->
-the single push-forward `performance.ComponentBank.stats_for_rows`, which
-prices every row of a weight matrix in one batch over the nodes' stacked
-components (`pipeline._Cell.linear_thresholds`).  The patterns are split
-by hypothesis with `performance.ComponentMoments.from_cells`, the split
+`moments_from_scenario` (one `performance.ComponentMoments` with the exact
+per-pattern components of every node) -> its single push-forward
+`stats_for_rows`, which prices every row of a weight matrix in one batch
+(`pipeline._Cell.linear_thresholds`).  The patterns are split by each
+node's hypothesis with `performance.ComponentMoments.from_cells`, the split
 `optimizer.blind_adapt` also applies to its label cells.
 """
 
@@ -440,8 +440,8 @@ def scenario_stats(config: ScenarioConfig) -> ScenarioStats:
     return ScenarioStats(config, pats, probs, x_table, mean, var)
 
 
-def moments_from_scenario(stats: ScenarioStats) -> dict:
-    """Exact ComponentMoments per node from analytic scenario statistics.
+def moments_from_scenario(stats: ScenarioStats) -> ComponentMoments:
+    """Exact components of every node from analytic scenario statistics.
 
     Conditional on an activity pattern the scores are independent Gaussians,
     so each live pattern with x_j = v is one exact mixture component of node
@@ -450,9 +450,9 @@ def moments_from_scenario(stats: ScenarioStats) -> dict:
     Patterns with zero stationary probability are dropped; if a node has no
     mass on one hypothesis (e.g. perpetually occupied), that node raises.
     """
-    return {j: ComponentMoments.from_cells(j, stats.x_table[j - 1], stats.probs,
-                                           stats.gamma_mean.T, stats.gamma_var.T)
-            for j in range(1, stats.config.node_count + 1)}
+    return ComponentMoments.from_cells(
+        {j: (stats.x_table[j - 1], stats.probs, stats.gamma_mean.T, stats.gamma_var.T)
+         for j in range(1, stats.config.node_count + 1)})
 
 
 def conditioned_campaign(config: ScenarioConfig, slots: int, seed: int,

@@ -1,17 +1,27 @@
 """Small builders shared by the tests, the per-sample sensing oracles and
-the per-node mixture oracle.
+the per-node mixture oracles.
 
 `gen_observations`, `llr_matched` and `llr_energy` build the local scores
 from K raw samples per slot, the way the sensing model defines them; the
 campaigns draw the same scores without keeping the samples, and the tests
 pin the two against each other.  `stats_for_weights` pushes a weight matrix
-through the exact components one node at a time, against which the tests
-pin the pipeline's batched threshold solve.
+through the exact components one node at a time, and `gfun` and
+`solve_threshold` price and invert one node's `ConditionalStats`; against
+them the tests pin the batched push-forward and threshold solve.
+`node_moments` builds one node's `ComponentMoments` from its components,
+and `own_components` reads one node's unpadded components out of a set.
 """
 
 import numpy as np
 
 from mpfusion.graph import MrfParams, Topology
+from mpfusion.performance import (
+    _THRESHOLD_TOL,
+    ComponentMoments,
+    ConditionalStats,
+    mixture_tail,
+    solve_thresholds,
+)
 from mpfusion.scenario import ScenarioConfig, ScenarioStats, moments_from_scenario
 
 
@@ -55,17 +65,61 @@ def llr_energy(y, tau0: float):
     return np.mean(np.square(np.asarray(y, dtype=float)), axis=-1) - tau0
 
 
-def stats_for_weights(stats: ScenarioStats, weight_matrix, offsets) -> dict:
-    """ConditionalStats for linear rules lambda = W gamma + w0, exactly.
+def stats_for_weights(stats: ScenarioStats, weight_matrix) -> dict:
+    """ConditionalStats for linear rules lambda = W gamma, exactly.
 
-    Row j of W (with offset w0_j) pushed through node j's exact components
-    from `moments_from_scenario`, one `stats_for_row` call per node.
+    Row j of W pushed through node j's exact components from
+    `moments_from_scenario`, one `stats_for_row` call per node.
     """
     w_mat = np.asarray(weight_matrix, dtype=float)
-    w0 = np.asarray(offsets, dtype=float)
     n = stats.config.node_count
-    if w_mat.shape != (n, n) or w0.shape != (n,):
-        raise ValueError("need square weights and per-node offsets")
+    if w_mat.shape != (n, n):
+        raise ValueError("need square weights")
     nodes = np.arange(1, n + 1)
-    return {j: cm.stats_for_row(nodes, w_mat[j - 1], w0[j - 1])
-            for j, cm in moments_from_scenario(stats).items()}
+    moments = moments_from_scenario(stats)
+    return {j: moments.stats_for_row(j, nodes, w_mat[j - 1]) for j in range(1, n + 1)}
+
+
+def node_moments(node: int, weights, means, variances) -> ComponentMoments:
+    """ComponentMoments of one node from its weights (M,) and score means
+    and variances (M, N) under each hypothesis v in {-1, +1}."""
+    return ComponentMoments(np.array([node]), *(
+        {v: np.asarray(field[v], dtype=float)[None] for v in (-1, 1)}
+        for field in (weights, means, variances)))
+
+
+def own_components(moments: ComponentMoments, node: int) -> ComponentMoments:
+    """The one-node set of node's own (unpadded) components in `moments`:
+    the leading components of positive weight in its row, after which the
+    row must hold only padding (weight 0, mean 0, variance 1)."""
+    b = int(np.searchsorted(moments.nodes, node))
+    assert moments.nodes[b] == node
+    own = {"weights": {}, "means": {}, "variances": {}}
+    for v in (-1, 1):
+        k = np.count_nonzero(moments.weights[v][b] > 0)
+        assert not moments.weights[v][b, k:].any() and not moments.means[v][b, k:].any()
+        assert (moments.variances[v][b, k:] == 1.0).all()
+        for name, per_v in own.items():
+            per_v[v] = getattr(moments, name)[v][b, :k]
+    return node_moments(node, own["weights"], own["means"], own["variances"])
+
+
+def gfun(tau, v: int, stats: ConditionalStats):
+    """P{lambda > tau | x_j = v} for the Gaussian-mixture model.
+
+    Strictly decreasing and continuous in tau, with limits 1 and 0, so a
+    root of gfun(tau) = p exists for any p in (0, 1).
+    """
+    out = mixture_tail(stats.weights[v], stats.means[v], stats.stds[v], tau)
+    return float(out) if np.ndim(tau) == 0 else out
+
+
+def solve_threshold(stats: ConditionalStats, v: int, target: float,
+                    tol: float = _THRESHOLD_TOL) -> float:
+    """Invert the tail mixture: find tau with gfun(tau, v) = target.
+
+    The one-row call of `solve_thresholds`; the result is within `tol` of
+    the target in the tail-probability domain.
+    """
+    return float(solve_thresholds(stats.weights[v], stats.means[v][None],
+                                  stats.stds[v][None], target, tol)[0])

@@ -30,7 +30,7 @@ from mpfusion.discrete import (
     s_transfer,
 )
 from mpfusion.graph import MrfParams, chain, hop_distance, star
-from mpfusion.performance import gaussianity_check, gfun, solve_threshold
+from mpfusion.performance import gaussianity_check
 from mpfusion.sensing import q_function
 from mpfusion.quadratic import EXACT, PAPER, QuadraticInstance, extract_weights, mrc_probe, run, verify_linearity
 from mpfusion.scenario import (
@@ -41,7 +41,7 @@ from mpfusion.scenario import (
     scenario_stats,
 )
 
-from helpers import stats_for_weights
+from helpers import gfun, solve_threshold, stats_for_weights
 
 BENCH = ScenarioConfig()          # 5-node chain, rho -5 dB, delta 1 dB, K=100
 MASTER_SEED = 12345
@@ -284,7 +284,7 @@ def test_criterion_07_calibration():
     slots = 20000
     worst_sigma = 0.0
     for rule, w_mat in enumerate((np.eye(5), fused)):
-        cond = stats_for_weights(stats, w_mat, np.zeros(5))
+        cond = stats_for_weights(stats, w_mat)
         taus = np.array([solve_threshold(cond[j], -1, coh.far)
                          for j in range(1, 6)])
         # per-pattern tails written out long-hand; their mixture must agree

@@ -166,6 +166,7 @@ def test_optimize_blind_flag_adds_block(tmp_path):
     blind = doc["blind"]
     assert 0.0 <= blind["label_accuracy_final"] <= 1.0
     assert set(blind["solutions"]) == {"1", "2", "3", "4", "5"}
+    assert set(blind["folded_cells"]) == {"1", "2", "3", "4", "5"}
 
 
 def test_bad_config_is_a_clean_error(tmp_path, capsys):

@@ -139,6 +139,13 @@ def test_bad_seed_rejected():
         from_dict({"seed": True})
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_rejected_at_load(seed):
+    with pytest.raises(ConfigError, match=r"\$\.seed"):
+        from_dict({"seed": seed})
+    assert from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+
+
 def test_scenario_errors_carry_scenario_path():
     with pytest.raises(ConfigError, match=r"\$\.scenario"):
         from_dict({"scenario": {"noise_var": -1.0}})

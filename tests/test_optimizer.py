@@ -21,7 +21,6 @@ from mpfusion import optimizer, rng
 from mpfusion.graph import Topology, chain, neighbors, star
 from mpfusion.optimizer import (
     BlindResult,
-    ComponentBank,
     ComponentMoments,
     ContractionWarning,
     blind_adapt,
@@ -32,14 +31,14 @@ from mpfusion.optimizer import (
     optimize_p2,
     stability_box,
 )
-from mpfusion.performance import gfun, mixture_tail, solve_threshold, solve_thresholds
+from mpfusion.performance import mixture_tail, solve_thresholds
 from mpfusion.scenario import (
     ScenarioConfig,
     moments_from_scenario,
     scenario_stats,
 )
 
-from helpers import stats_for_weights
+from helpers import gfun, node_moments, own_components, solve_threshold, stats_for_weights
 
 
 def _two_node_moments(sep=2.0, noise=1.0, corr_quality=1.0):
@@ -51,7 +50,7 @@ def _two_node_moments(sep=2.0, noise=1.0, corr_quality=1.0):
         1: np.array([[sep, sep * corr_quality]]),
     }
     variances = {v: np.array([[noise, noise]]) for v in (-1, 1)}
-    return ComponentMoments(1, weights, means, variances)
+    return node_moments(1, weights, means, variances)
 
 
 # ---------------------------------------------------------------- couplings
@@ -102,9 +101,9 @@ def test_learn_couplings_validation():
 
 def test_stats_for_row_single_component():
     cm = _two_node_moments(sep=2.0, noise=4.0)
-    stats = cm.stats_for_row(np.array([1, 2]), np.array([1.0, 0.5]), offset=0.3)
-    assert stats.means[1][0] == pytest.approx(2.0 + 0.5 * 2.0 + 0.3)
-    assert stats.means[-1][0] == pytest.approx(0.3)
+    stats = cm.stats_for_row(1, np.array([1, 2]), np.array([1.0, 0.5]))
+    assert stats.means[1][0] == pytest.approx(2.0 + 0.5 * 2.0)
+    assert stats.means[-1][0] == 0.0
     assert stats.stds[1][0] == pytest.approx(math.sqrt(4.0 + 0.25 * 4.0))
 
 
@@ -112,10 +111,10 @@ def test_stats_for_row_nan_raises():
     weights = {v: np.array([1.0]) for v in (-1, 1)}
     means = {v: np.array([[0.0, np.nan]]) for v in (-1, 1)}
     variances = {v: np.array([[1.0, 1.0]]) for v in (-1, 1)}
-    cm = ComponentMoments(1, weights, means, variances)
-    cm.stats_for_row(np.array([1]), np.array([1.0]))  # covered part is fine
+    cm = node_moments(1, weights, means, variances)
+    cm.stats_for_row(1, np.array([1]), np.array([1.0]))  # covered part is fine
     with pytest.raises(ValueError):
-        cm.stats_for_row(np.array([1, 2]), np.array([1.0, 0.1]))
+        cm.stats_for_row(1, np.array([1, 2]), np.array([1.0, 0.1]))
 
 
 def test_moments_from_scenario_agree_with_weight_route():
@@ -127,9 +126,8 @@ def test_moments_from_scenario_agree_with_weight_route():
     w = np.eye(5)
     w[2, 1] = 0.4
     w[2, 3] = -0.2
-    by_weights = stats_for_weights(stats, w, np.zeros(5))
-    row_stats = moments[3].stats_for_row(
-        np.array([3, 2, 4]), np.array([1.0, 0.4, -0.2]))
+    by_weights = stats_for_weights(stats, w)
+    row_stats = moments.stats_for_row(3, np.array([3, 2, 4]), np.array([1.0, 0.4, -0.2]))
     for v in (-1, 1):
         for tau in (-0.3, 0.0, 0.4):
             assert gfun(tau, v, row_stats) == pytest.approx(
@@ -154,7 +152,7 @@ def test_optimize_p2_beats_fine_grid_oracle():
     lo, hi = (-2.0, 2.0) if math.isinf(box) else (-box, box)
     best = -np.inf
     for c in np.linspace(lo, hi, 4001):
-        stats = cm.stats_for_row(np.array([1, 2]), np.array([1.0, c]))
+        stats = cm.stats_for_row(1, np.array([1, 2]), np.array([1.0, c]))
         tau = solve_threshold(stats, -1, 0.1)
         best = max(best, gfun(tau, 1, stats))
     assert sol.pd >= best - 1e-6
@@ -185,9 +183,9 @@ def test_optimize_p2_never_below_local_detector():
             1: np.array([[sep] + list(gen.uniform(-1, 1, 3))]),
         }
         variances = {v: np.array([[1.0] * 4]) for v in (-1, 1)}
-        cm = ComponentMoments(1, weights, means, variances)
+        cm = node_moments(1, weights, means, variances)
         sol = optimize_p2(cm, top, 1, alpha=0.1, seed=trial)
-        local = cm.stats_for_row(np.array([1]), np.array([1.0]))
+        local = cm.stats_for_row(1, np.array([1]), np.array([1.0]))
         tau = solve_threshold(local, -1, 0.1)
         assert sol.pd >= gfun(tau, 1, local) - 1e-12
 
@@ -195,7 +193,7 @@ def test_optimize_p2_never_below_local_detector():
 def test_optimize_p2_threshold_pins_alpha():
     cm = _two_node_moments()
     sol = optimize_p2(cm, chain(2), 1, alpha=0.07)
-    stats = cm.stats_for_row(np.array([1, 2]), np.array([1.0, sol.coefficients[2]]))
+    stats = cm.stats_for_row(1, np.array([1, 2]), np.array([1.0, sol.coefficients[2]]))
     assert gfun(sol.threshold, -1, stats) == pytest.approx(0.07, abs=1e-8)
 
 
@@ -205,7 +203,7 @@ def test_optimize_p2_respects_stability_box():
     top = cfg.topology()
     box = stability_box(top)
     for node in (1, 3, 5):
-        sol = optimize_p2(moments[node], top, node, alpha=0.1, seed=0)
+        sol = optimize_p2(moments, top, node, alpha=0.1, seed=0)
         for c in sol.coefficients.values():
             assert abs(c) < box
 
@@ -261,15 +259,15 @@ def _oracle_coordinate_ascent(fun, start, box):
     return point, value, False
 
 
-def _oracle_search_row(moments, indices, alpha, starts, box):
+def _oracle_search_row(moments, node, indices, alpha, starts, box):
     """One job of `_search_rows`, one start at a time on the node's own
     (unpadded) components."""
     evals = 0
-    bank = ComponentBank.stack({moments.node: moments})
+    own = own_components(moments, node)
 
     def price(batch):
-        mix = bank.stats_for_rows(np.full(len(batch), moments.node), indices,
-                                  np.hstack((np.ones((len(batch), 1)), batch)))
+        mix = own.stats_for_rows(np.full(len(batch), node), indices,
+                                 np.hstack((np.ones((len(batch), 1)), batch)))
         return mix, solve_thresholds(*mix[-1], alpha)
 
     def fun(batch):
@@ -289,9 +287,9 @@ def _oracle_search_row(moments, indices, alpha, starts, box):
 
 
 def _assert_lockstep_matches_oracle(moments, jobs, alpha, box):
-    got = optimizer._search_rows(ComponentBank.stack(moments), jobs, alpha, box)
+    got = optimizer._search_rows(moments, jobs, alpha, box)
     for (node, indices, starts), found in zip(jobs, got):
-        want = _oracle_search_row(moments[node], indices, alpha, starts, box)
+        want = _oracle_search_row(moments, node, indices, alpha, starts, box)
         np.testing.assert_array_equal(found[0], want[0])
         assert found[1:] == want[1:]
     return got
@@ -306,8 +304,8 @@ def _lockstep_jobs(draw):
     n = dim + draw(st.integers(1, 2))
     floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
 
-    def component_moments(node):
-        out = {}
+    def component_cells(node):
+        out = []
         for v in (-1, 1):
             m = draw(st.integers(1, 4))
             w = np.array(draw(st.lists(floats(0.05, 1.0), min_size=m, max_size=m)))
@@ -315,8 +313,8 @@ def _lockstep_jobs(draw):
                                           max_size=m * n))).reshape(m, n)
             var = np.array(draw(st.lists(floats(0.2, 3.0), min_size=m * n,
                                          max_size=m * n))).reshape(m, n)
-            out[v] = (w / w.sum(), mean + (v > 0), var)
-        return ComponentMoments(node, *({v: out[v][k] for v in (-1, 1)} for k in range(3)))
+            out.append((np.full(m, v), w, mean + (v > 0), var))
+        return tuple(np.concatenate(parts) for parts in zip(*out))
 
     box = draw(st.sampled_from([0.5, 2.0]))
     jobs = []
@@ -330,7 +328,7 @@ def _lockstep_jobs(draw):
                 starts.append(np.array(draw(st.lists(floats(-box, box), min_size=dim,
                                                      max_size=dim))))
         jobs.append((node, [node] + list(others[:dim]), starts))
-    moments = {node: component_moments(node) for node, _, _ in jobs}
+    moments = ComponentMoments.from_cells({node: component_cells(node) for node, _, _ in jobs})
     return moments, jobs, box
 
 
@@ -348,23 +346,22 @@ def test_lockstep_search_matches_serial_oracle_at_sweep_cap(monkeypatch):
     moments, top, hood = _p1_inputs()
     jobs = [(j, [j] + [i for i in top.nodes if i != j],
              [np.zeros(4), np.full(4, 0.2), np.zeros(4)]) for j in (2, 3)]
-    got = _assert_lockstep_matches_oracle({j: moments[j] for j in (2, 3)}, jobs, 0.1, 2.0)
+    got = _assert_lockstep_matches_oracle(moments, jobs, 0.1, 2.0)
     assert not all(found[1] for found in got)
 
 
 def test_lockstep_search_keeps_the_tie_and_downhill_rules(monkeypatch):
     cm = _two_node_moments()                 # Pd peaks at coefficient 1
-    (peak, *_), = optimizer._search_rows(ComponentBank.stack({1: cm}),
-                                         [(1, [1, 2], [np.zeros(1)])], 0.1, 2.0)
+    (peak, *_), = optimizer._search_rows(cm, [(1, [1, 2], [np.zeros(1)])], 0.1, 2.0)
     monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
     # both starts end on the same point and value; only the second start,
     # already there, converges in one sweep, and the first start wins
-    tie = _assert_lockstep_matches_oracle({1: cm}, [(1, [1, 2], [np.full(1, -1.5), peak])],
+    tie = _assert_lockstep_matches_oracle(cm, [(1, [1, 2], [np.full(1, -1.5), peak])],
                                           0.1, 2.0)
     np.testing.assert_array_equal(tie[0][0], peak)
     assert tie[0][1] is False
     # a start beyond the box scores above every point inside it: stay put
-    (kept, *_), = _assert_lockstep_matches_oracle({1: cm}, [(1, [1, 2], [np.ones(1)])],
+    (kept, *_), = _assert_lockstep_matches_oracle(cm, [(1, [1, 2], [np.ones(1)])],
                                                    0.1, 0.5)
     np.testing.assert_array_equal(kept, [1.0])
 
@@ -373,9 +370,9 @@ def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
     moments, top, hood = _p1_inputs()
     calls, search = [], optimizer._search_rows
 
-    def counted(bank, jobs, *args):
+    def counted(moments, jobs, *args):
         calls.append([node for node, _, _ in jobs])
-        return search(bank, jobs, *args)
+        return search(moments, jobs, *args)
 
     monkeypatch.setattr(optimizer, "_search_rows", counted)
     assert neighbourhood_designs(moments, top, 0.1, seed=3) == hood
@@ -388,7 +385,7 @@ def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
                          coverage={1: (1, 2, 3, 4)}, on_prob=(0.5,))
     stars = moments_from_scenario(scenario_stats(cfg))
     assert neighbourhood_designs(stars, star_top, 0.1, seed=3) == {
-        j: optimize_p2(stars[j], star_top, j, alpha=0.1, seed=3) for j in star_top.nodes}
+        j: optimize_p2(stars, star_top, j, alpha=0.1, seed=3) for j in star_top.nodes}
 
 
 # ------------------------------------------------------------ network tune
@@ -400,7 +397,7 @@ def _p1_inputs():
     cfg = ScenarioConfig(rho_db=-8.0)
     moments = moments_from_scenario(scenario_stats(cfg))
     top = cfg.topology()
-    hood = {j: optimize_p2(moments[j], top, j, alpha=0.1, seed=3) for j in top.nodes}
+    hood = {j: optimize_p2(moments, top, j, alpha=0.1, seed=3) for j in top.nodes}
     return moments, top, hood
 
 
@@ -431,22 +428,25 @@ def test_optimize_p1_checks_its_neighbourhood_designs(node, design, message):
         del hood[node]
     else:
         other, alpha = design
-        hood[node] = optimize_p2(moments[other], top, other, alpha=alpha, seed=3)
+        hood[node] = optimize_p2(moments, top, other, alpha=alpha, seed=3)
     with pytest.raises(ValueError, match=message):
         optimize_p1(moments, top, 0.1, hood, seed=3)
 
 
 @pytest.mark.parametrize("design", ["p2", "neighbourhood", "p1"])
-def test_designs_reject_components_keyed_to_another_node(design):
+def test_designs_reject_components_lacking_the_node(design):
     moments, top, hood = _p1_inputs()
-    misfiled = {**moments, 3: moments[1]}
-    with pytest.raises(ValueError, match="components of node 1 are keyed as node 3"):
+    keep = moments.nodes != 3
+    lacking = ComponentMoments(moments.nodes[keep], *(
+        {v: getattr(moments, field)[v][keep] for v in (-1, 1)}
+        for field in ("weights", "means", "variances")))
+    with pytest.raises(ValueError, match="no components for node 3"):
         if design == "p2":
-            optimize_p2(moments[1], top, 3, alpha=0.1)
+            optimize_p2(lacking, top, 3, alpha=0.1)
         elif design == "neighbourhood":
-            neighbourhood_designs(misfiled, top, 0.1)
+            neighbourhood_designs(lacking, top, 0.1)
         else:
-            optimize_p1(misfiled, top, 0.1, hood)
+            optimize_p1(lacking, top, 0.1, hood)
 
 
 # -------------------------------------------------------------- equal gain
@@ -537,14 +537,17 @@ def test_blind_adapt_rejects_one_slot_cells():
 
 def _blind_moments_oracle(g, labels, top, min_cell):
     """The per-pattern masked fit: np.unique over the one-hop label columns
-    of each class, then one boolean mask over all slots per cell.  A node
-    missing a class fails before any of its cells is fitted."""
+    of each class, then one boolean mask over all slots per cell; node ->
+    (weights, means, variances) per class, and node -> the number of cells
+    folded away.  A node missing a class fails before any cell is fitted."""
     n = g.shape[0]
-    moments = {}
+    moments, folded = {}, {}
     for j in top.nodes:
         if np.unique(labels[j - 1]).size < 2:
             raise ValueError(
                 f"blind labels give node {j} only one class; cannot adapt")
+    for j in top.nodes:
+        folded[j] = 0
         local = np.array([j] + list(neighbors(top, j)))
         keys = labels[[k - 1 for k in local]]
         weights_by_v, means_by_v, vars_by_v = {}, {}, {}
@@ -557,6 +560,7 @@ def _blind_moments_oracle(g, labels, top, min_cell):
                 cell = sel & np.all(keys == pat[:, None], axis=0)
                 count = int(cell.sum())
                 if count < min_cell:
+                    folded[j] += 1
                     continue
                 mean_vec = np.full(n, np.nan)
                 var_vec = np.full(n, np.nan)
@@ -564,6 +568,7 @@ def _blind_moments_oracle(g, labels, top, min_cell):
                 mean_vec[local - 1] = samples[local - 1].mean(axis=1)
                 var_vec[local - 1] = samples[local - 1].var(axis=1, ddof=1)
                 if np.any(var_vec[local - 1] <= 0):
+                    folded[j] += 1
                     continue
                 cells.append((count, mean_vec, var_vec))
             if not cells:
@@ -573,8 +578,8 @@ def _blind_moments_oracle(g, labels, top, min_cell):
             weights_by_v[v] = counts / counts.sum()
             means_by_v[v] = np.stack([m for _, m, _ in cells])
             vars_by_v[v] = np.stack([s for _, _, s in cells])
-        moments[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
-    return moments
+        moments[j] = weights_by_v, means_by_v, vars_by_v
+    return moments, folded
 
 
 def _moments_or_error(fit, *args):
@@ -613,9 +618,27 @@ def test_blind_moments_match_masked_cells(case):
     if isinstance(want, str):
         assert got == want
         return
-    assert got.keys() == want.keys()
-    for j in want:
-        for v in (-1, 1):
-            for field in ("weights", "means", "variances"):
-                np.testing.assert_array_equal(getattr(got[j], field)[v],
-                                              getattr(want[j], field)[v])
+    (moments, folded), (want_moments, want_folded) = got, want
+    np.testing.assert_array_equal(moments.nodes, list(want_moments))
+    assert folded == want_folded
+    for j, fields in want_moments.items():
+        own = own_components(moments, j)
+        for name, want_field in zip(("weights", "means", "variances"), fields):
+            for v in (-1, 1):
+                np.testing.assert_array_equal(getattr(own, name)[v][0], want_field[v])
+
+
+def test_blind_adapt_counts_folded_cells():
+    # 300 slots over chain(3)'s one-hop label patterns leave some cells
+    # thinner than 30 slots; with noisy scores no cell lacks spread, so
+    # every folded cell is a thin one
+    top, gamma, truth = _blind_fixture(sep=1.0, noise=1.0, slots=300)
+    res = blind_adapt(gamma, top, alpha=0.1, min_cell=30, seed=0)
+    recount = {}
+    for j in top.nodes:
+        local = [j] + list(neighbors(top, j))
+        _, counts = np.unique(res.labels[[k - 1 for k in local]], axis=1,
+                              return_counts=True)
+        recount[j] = int(np.sum(counts < 30))
+    assert res.folded_cells == recount
+    assert sum(recount.values()) > 0

@@ -1,10 +1,11 @@
 """Threshold solving and error-rate accounting.
 
-`gfun` is cross-checked against a hand-rolled mixture of erfc tails and
-against Monte Carlo sampling of the same mixture; `solve_threshold` by
-round-tripping, and the batched push-forward and threshold solver against
-their one-row calls on random mixtures, padded ones included.  The KS check is calibrated on synthetic draws where the
-verdict is known.
+The per-node oracles `gfun` and `solve_threshold` (in `helpers`) are
+cross-checked against a hand-rolled mixture of erfc tails, against Monte
+Carlo sampling of the same mixture and by round-tripping; the batched
+push-forward and threshold solver against them and against one-row calls on
+random mixtures, padded ones included.  The KS check is calibrated on
+synthetic draws where the verdict is known.
 """
 
 import math
@@ -17,16 +18,15 @@ from hypothesis.extra.numpy import arrays
 
 from mpfusion import performance, rng
 from mpfusion.performance import (
-    ComponentBank,
     ComponentMoments,
     ConditionalStats,
     GaussianityReport,
     gaussianity_check,
-    gfun,
     monte_carlo_perf,
-    solve_threshold,
     solve_thresholds,
 )
+
+from helpers import gfun, solve_threshold
 
 
 def _mix(weights, means, stds):
@@ -126,40 +126,34 @@ def test_batched_push_forward_and_solver_match_one_row(data, comps, rows, dim, t
     def draw(shape, lo, hi):
         return data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
 
-    def moments(node, count):
-        def distribution():
-            w = draw(count, 0.01, 1.0)
-            return w / w.sum()
-
-        return ComponentMoments(
-            node,
-            {v: distribution() for v in (-1, 1)},
-            {v: draw((count, nodes), -4.0, 4.0) for v in (-1, 1)},
-            {v: draw((count, nodes), 0.01, 4.0) for v in (-1, 1)})
+    def cells(count):
+        """(states, mass, means, variances) of `count` cells per hypothesis."""
+        return (np.repeat([-1, 1], count), draw(2 * count, 0.01, 1.0),
+                draw((2 * count, nodes), -4.0, 4.0), draw((2 * count, nodes), 0.01, 4.0))
 
     nodes = dim + 1                          # one node outside the rule
-    cm = moments(1, comps)
+    own = {1: cells(comps)}
+    cm = ComponentMoments.from_cells(own)
     batch = draw((rows, dim), -2.0, 2.0)
     batch[:, 0] = 1.0                        # own weight one, as in the designs
     indices = np.arange(1, dim + 1)
-    mix = ComponentBank.stack({1: cm}).stats_for_rows(np.ones(rows, dtype=np.intp),
-                                                      indices, batch)
+    mix = cm.stats_for_rows(np.ones(rows, dtype=np.intp), indices, batch)
     taus = solve_thresholds(*mix[-1], target)
     for g in range(rows):
-        one = cm.stats_for_row(indices, batch[g])
+        one = cm.stats_for_row(1, indices, batch[g])
         for v in (-1, 1):
             np.testing.assert_array_max_ulp(mix[v][1][g], one.means[v], maxulp=4)
             np.testing.assert_array_max_ulp(mix[v][2][g], one.stds[v], maxulp=4)
         assert abs(gfun(taus[g], -1, one) - target) <= 1e-9
         assert taus[g] == solve_threshold(one, -1, target)
 
-    # (G, M) weights: a bank pads node 2's `short` components to `comps`
-    # with zero weight; numpy sums rows of 8 or more in unrolled blocks, so
-    # a padded count of 8 keeps short to at most 3
+    # (G, M) weights: a two-node set pads node 2's `short` components to
+    # `comps` with zero weight; numpy sums rows of 8 or more in unrolled
+    # blocks, so a padded count of 8 keeps short to at most 3
     short = data.draw(st.integers(1, comps if comps < 8 else 3))
-    banked = {1: cm, 2: moments(2, short)}
+    own[2] = cells(short)
     owner = data.draw(arrays(np.intp, rows, elements=st.sampled_from([1, 2])))
-    weights, means, stds = ComponentBank.stack(banked).stats_for_rows(
+    weights, means, stds = ComponentMoments.from_cells(own).stats_for_rows(
         owner, indices, batch)[-1]
     taus = solve_thresholds(weights, means, stds, target)
     far = means.copy()                       # padded means far outside the rest
@@ -168,12 +162,25 @@ def test_batched_push_forward_and_solver_match_one_row(data, comps, rows, dim, t
                               far[:, short:])
     far_taus = solve_thresholds(weights, far, stds, target)
     for g in range(rows):
-        one = banked[owner[g]].stats_for_row(indices, batch[g])
+        node = int(owner[g])
+        one = ComponentMoments.from_cells({node: own[node]}).stats_for_row(
+            node, indices, batch[g])
         size = one.weights[-1].size
         assert not weights[g, size:].any()
         np.testing.assert_array_equal(means[g, :size], one.means[-1])
         np.testing.assert_array_equal(stds[g, :size], one.stds[-1])
         assert taus[g] == far_taus[g] == solve_threshold(one, -1, target)
+
+
+def test_rules_of_a_node_without_components_raise():
+    cell = (np.array([-1, -1, 1]), np.array([0.8, 0.2, 1.0]),
+            np.zeros((3, 4)), np.ones((3, 4)))
+    moments = ComponentMoments.from_cells({1: cell, 3: cell})
+    for present in (1, 3):
+        moments.stats_for_rows([present], [1, 2], [[1.0, 0.5]])
+    for absent in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"no components for node {absent}"):
+            moments.stats_for_rows([1, absent], [1, 2], [[1.0, 0.5], [1.0, 0.5]])
 
 
 def test_padding_never_sets_the_threshold_bracket():

@@ -11,7 +11,6 @@ import pytest
 
 from mpfusion import discrete, optimizer, pipeline
 from mpfusion.graph import MrfParams
-from mpfusion.performance import solve_threshold
 from mpfusion.pipeline import (
     MethodSpec,
     conditioned_samples,
@@ -21,7 +20,7 @@ from mpfusion.pipeline import (
 )
 from mpfusion.scenario import ScenarioConfig, run_campaign, with_rho
 
-from helpers import stats_for_weights, tree_config
+from helpers import solve_threshold, stats_for_weights, tree_config
 
 
 def _small_cfg(**kw):
@@ -147,7 +146,7 @@ def test_linear_thresholds_equal_per_node_route(cfg):
     rand = np.random.default_rng(n).uniform(-0.8, 0.8, (n, n))
     np.fill_diagonal(rand, 1.0)
     for w in (np.eye(n), egc, rand):
-        cond = stats_for_weights(cell.stats, w, np.zeros(n))
+        cond = stats_for_weights(cell.stats, w)
         want = np.array([solve_threshold(cond[j], -1, cfg.far) for j in cell.top.nodes])
         np.testing.assert_array_equal(cell.linear_thresholds(w), want)
 
@@ -282,6 +281,8 @@ def test_design_presets_report_their_search(monkeypatch):
     for res in (prop, blind):
         assert set(res.extras["converged"]) == nodes
         assert all(res.extras["evaluations"][j] > 0 for j in nodes)
+    assert set(blind.extras["folded_cells"]) == nodes
+    assert all(count >= 0 for count in blind.extras["folded_cells"].values())
     assert any("1-sweep cap" in note for note in opt.extras["notes"])
 
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.performance import ComponentMoments, gfun
 from mpfusion.scenario import (
     Campaign,
     ScenarioConfig,
@@ -41,7 +40,15 @@ from mpfusion.scenario import (
 )
 from mpfusion.sensing import energy_moments
 
-from helpers import gen_observations, llr_energy, llr_matched, stats_for_weights, tree_config
+from helpers import (
+    gen_observations,
+    gfun,
+    llr_energy,
+    llr_matched,
+    own_components,
+    stats_for_weights,
+    tree_config,
+)
 
 
 def test_default_scenario_shape():
@@ -426,14 +433,15 @@ def test_two_calibration_routes_agree_on_linear_rule():
     ]
     slots = 60000
     for cfg, w, w0, nodes in cases:
-        analytic = stats_for_weights(scenario_stats(cfg), w, w0)
+        analytic = stats_for_weights(scenario_stats(cfg), w)
         camp = run_campaign(cfg, slots, seed=15)
         lam = w @ camp.gamma + w0[:, None]
         for j in nodes:
             for v in (-1, 1):
                 sampled = lam[j - 1, camp.x[j - 1] == v]
                 for tau in (-0.4, 0.0, 0.6):
-                    p_ana = gfun(tau, v, analytic[j])
+                    # the offset w0_j shifts the threshold exactly
+                    p_ana = gfun(tau - w0[j - 1], v, analytic[j])
                     p_emp = float(np.mean(sampled > tau))
                     assert abs(p_ana - p_emp) < 4 * math.sqrt(
                         p_ana * (1 - p_ana) / slots + 1e-6) + 0.01
@@ -455,7 +463,7 @@ def _moments_from_scenario_oracle(stats):
             weights_by_v[v] = stats.probs[sel] / total
             means_by_v[v] = stats.gamma_mean[:, sel].T.copy()
             vars_by_v[v] = stats.gamma_var[:, sel].T.copy()
-        out[j] = ComponentMoments(j, weights_by_v, means_by_v, vars_by_v)
+        out[j] = {"weights": weights_by_v, "means": means_by_v, "variances": vars_by_v}
     return out
 
 
@@ -471,13 +479,13 @@ def _moments_from_scenario_oracle(stats):
 def test_moments_from_scenario_match_masked_split(cfg):
     stats = scenario_stats(cfg)
     got, want = moments_from_scenario(stats), _moments_from_scenario_oracle(stats)
-    assert got.keys() == want.keys()
+    np.testing.assert_array_equal(got.nodes, list(want))
     for j in want:
-        for v in (-1, 1):
-            for field in ("weights", "means", "variances"):
-                a, b = getattr(got[j], field)[v], getattr(want[j], field)[v]
-                np.testing.assert_array_equal(a, b)
-                assert a.flags["C_CONTIGUOUS"]
+        own = own_components(got, j)
+        for field in ("weights", "means", "variances"):
+            for v in (-1, 1):
+                np.testing.assert_array_equal(getattr(own, field)[v][0], want[j][field][v])
+                assert getattr(got, field)[v].flags["C_CONTIGUOUS"]
 
 
 def test_moments_from_scenario_never_idle_node_raises_as_masked_split():
@@ -496,7 +504,7 @@ def test_stats_for_weights_never_on_node_raises():
     cfg = ScenarioConfig(on_prob=(1.0, 1.0), coupling=0.0)
     stats = scenario_stats(cfg)
     with pytest.raises(ValueError):
-        stats_for_weights(stats, np.eye(5), np.zeros(5))
+        stats_for_weights(stats, np.eye(5))
 
 
 def test_conditioned_campaign_pins_pattern():

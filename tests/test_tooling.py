@@ -29,7 +29,7 @@ wrapped = tracing.instrument(tracer, mpfusion)
 pipeline.evaluate_cell(ScenarioConfig(), ["local", "mp0.1", "egc0.3", "linProp"], 5,
                        training_slots=60, calibration_slots=200, eval_slots=60)
 exact = scenario.moments_from_scenario(scenario.scenario_stats(ScenarioConfig()))
-mpfusion.optimizer.ComponentMoments.stats_for_row(exact[2], [2, 1, 3], [1.0, 0.3, 0.3])
+mpfusion.optimizer.ComponentMoments.stats_for_row(exact, 2, [2, 1, 3], [1.0, 0.3, 0.3])
 names = {{span[1] for span in tracer.spans}}
 print(wrapped, tracer.counters["performance.conditional_stats_builds"],
       tracer.counters["optimizer.objective_evals"], " ".join(sorted(names)))
