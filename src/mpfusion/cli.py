@@ -103,14 +103,24 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _result_rows(results) -> list:
-    rows = []
-    for res in results:
-        for (label, rho, delta, node, pf, pd, _se_pf, se_pd) in res.rows():
-            rows.append((label, rho, delta, node, pf, pd, se_pd))
-    return rows
+    """CSV rows of every preset and node: the result rows without stderr_pf."""
+    return [row[:6] + row[7:] for res in results for row in res.rows()]
 
 
 _CSV_HEADER = ("method", "rho_db", "delta_rho_db", "node", "pf", "pd", "stderr")
+
+
+def _result_doc(r: pipeline.MethodResult) -> dict:
+    """The report entry of one preset in one cell."""
+    return {"method": r.label, "rho_db": r.rho_db, "delta_rho_db": r.delta_rho_db,
+            "thresholds": r.thresholds, "report": r.report.to_dict()}
+
+
+def _p2_docs(solutions: dict) -> dict:
+    """The report entries of per-node neighbourhood (P2) designs."""
+    return {str(j): {"coefficients": s.coefficients, "threshold": s.threshold,
+                     "pd": s.pd, "converged": s.converged}
+            for j, s in solutions.items()}
 
 
 def _cell_kwargs(cfg: config_mod.RunConfig) -> dict:
@@ -135,12 +145,7 @@ def cmd_simulate(args) -> int:
     _write_json(os.path.join(out, "report.json"), {
         "command": "simulate",
         "config": config_mod.to_dict(cfg),
-        "results": [{"method": r.label,
-                     "rho_db": r.rho_db,
-                     "delta_rho_db": r.delta_rho_db,
-                     "thresholds": r.thresholds,
-                     "report": r.report.to_dict(),
-                     "extras": r.extras} for r in results],
+        "results": [dict(_result_doc(r), extras=r.extras) for r in results],
     })
     for r in results:
         pd_avg = np.nanmean(r.report.pd)
@@ -165,11 +170,7 @@ def cmd_sweep_snr(args) -> int:
         "command": "sweep-snr",
         "config": config_mod.to_dict(cfg),
         "rho_grid": list(grid),
-        "results": [{"method": r.label,
-                     "rho_db": r.rho_db,
-                     "delta_rho_db": r.delta_rho_db,
-                     "thresholds": r.thresholds,
-                     "report": r.report.to_dict()} for r in results],
+        "results": [_result_doc(r) for r in results],
     })
     print(f"swept {len(grid)} operating points x "
           f"{len(cfg.evaluation.methods)} methods -> {out}/sweep.csv")
@@ -276,11 +277,7 @@ def cmd_optimize(args) -> int:
     payload = {
         "command": "optimize",
         "config": config_mod.to_dict(cfg),
-        "neighbourhood": {str(j): {"coefficients": s.coefficients,
-                                   "threshold": s.threshold,
-                                   "pd": s.pd,
-                                   "converged": s.converged}
-                          for j, s in hood.items()},
+        "neighbourhood": _p2_docs(hood),
         "network": {"weights": network.weights,
                     "thresholds": network.thresholds,
                     "pf": network.pf,
@@ -296,11 +293,7 @@ def cmd_optimize(args) -> int:
             "label_accuracy_initial": blind.initial_accuracy,
             "label_accuracy_final": blind.final_accuracy,
             "folded_cells": blind.folded_cells,
-            "solutions": {str(j): {"coefficients": s.coefficients,
-                                   "threshold": s.threshold,
-                                   "pd": s.pd,
-                                   "converged": s.converged}
-                          for j, s in blind.solutions.items()},
+            "solutions": _p2_docs(blind.solutions),
         }
     _write_json(os.path.join(out, "solution.json"), payload)
     mean_pd = float(np.mean([s.pd for s in hood.values()]))

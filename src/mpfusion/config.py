@@ -13,7 +13,7 @@ is checked by `pipeline.parse_method`, the one label grammar, under
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .pipeline import parse_method
 from .scenario import ScenarioConfig, _is_integer, _is_real
@@ -25,16 +25,14 @@ class ConfigError(ValueError):
     """Malformed run configuration; message carries the JSON path."""
 
 
-def _require_mapping(obj, path: str) -> dict:
+def _mapping(obj, path: str, allowed=None) -> dict:
+    """`obj` as a JSON object, every key in `allowed` unless that is None."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object")
-    return obj
-
-
-def _check_keys(d: dict, allowed, path: str) -> None:
-    for key in d:
-        if key not in allowed:
+    for key in obj:
+        if allowed is not None and key not in allowed:
             raise ConfigError(f"unknown key {key!r} at {path}")
+    return obj
 
 
 def _check_count(value, path: str) -> None:
@@ -121,21 +119,13 @@ _TOP_KEYS = {"scenario", "detector", "evaluation", "seed"}
 
 
 def _scenario_from_dict(d: dict) -> ScenarioConfig:
-    d = _require_mapping(d, "$.scenario")
-    _check_keys(d, _SCENARIO_KEYS, "$.scenario")
-    kwargs = dict(d)
+    kwargs = dict(_mapping(d, "$.scenario", _SCENARIO_KEYS))
     if "coverage" in kwargs:
-        cov = _require_mapping(kwargs["coverage"], "$.scenario.coverage")
+        cov = _mapping(kwargs["coverage"], "$.scenario.coverage")
         try:
             kwargs["coverage"] = {int(k): tuple(v) for k, v in cov.items()}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"$.scenario.coverage: {exc}") from None
-    if "edges" in kwargs and kwargs["edges"] is not None:
-        kwargs["edges"] = tuple(tuple(e) for e in kwargs["edges"])
-    if "on_prob" in kwargs and isinstance(kwargs["on_prob"], list):
-        kwargs["on_prob"] = tuple(kwargs["on_prob"])
-    if "initial_activity" in kwargs and kwargs["initial_activity"] is not None:
-        kwargs["initial_activity"] = tuple(kwargs["initial_activity"])
     try:
         return ScenarioConfig(**kwargs)
     except ValueError as exc:
@@ -143,65 +133,29 @@ def _scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def from_dict(d: dict) -> RunConfig:
-    d = _require_mapping(d, "$")
-    _check_keys(d, _TOP_KEYS, "$")
+    d = _mapping(d, "$", _TOP_KEYS)
     scenario_cfg = _scenario_from_dict(d.get("scenario", {}))
-    det = _require_mapping(d.get("detector", {}), "$.detector")
-    _check_keys(det, _DETECTOR_KEYS, "$.detector")
-    ev = _require_mapping(d.get("evaluation", {}), "$.evaluation")
-    _check_keys(ev, _EVALUATION_KEYS, "$.evaluation")
-    if "methods" in ev:
-        if not isinstance(ev["methods"], list):
-            raise ConfigError("$.evaluation.methods must be a list of labels")
+    det = _mapping(d.get("detector", {}), "$.detector", _DETECTOR_KEYS)
+    ev = _mapping(d.get("evaluation", {}), "$.evaluation", _EVALUATION_KEYS)
+    if not isinstance(ev.get("methods", []), list):
+        raise ConfigError("$.evaluation.methods must be a list of labels")
     seed = d.get("seed", RunConfig.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_integer(seed):
         raise ConfigError("$.seed must be an integer")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"$.seed must lie in [0, 2**64), got {seed}")
     try:
         detector = DetectorBlock(**det)
-        evaluation = EvaluationBlock(**{k: (tuple(v) if k == "methods" else v)
-                                        for k, v in ev.items()})
+        evaluation = EvaluationBlock(**ev)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(scenario_cfg, detector, evaluation, seed)
 
 
 def to_dict(cfg: RunConfig) -> dict:
-    s = cfg.scenario
-    return {
-        "scenario": {
-            "node_count": s.node_count,
-            "edges": None if s.edges is None else [list(e) for e in s.edges],
-            "coverage": {str(p): list(nodes) for p, nodes in s.coverage.items()},
-            "rho_db": s.rho_db,
-            "delta_rho_db": s.delta_rho_db,
-            "sample_count": s.sample_count,
-            "noise_var": s.noise_var,
-            "far": s.far,
-            "on_prob": list(s.on_prob),
-            "flip": s.flip,
-            "coupling": s.coupling,
-            "sensing_mode": s.sensing_mode,
-            "initial_activity": (None if s.initial_activity is None
-                                 else list(s.initial_activity)),
-        },
-        "detector": {
-            "iterations": cfg.detector.iterations,
-            "training_labels": cfg.detector.training_labels,
-        },
-        "evaluation": {
-            "methods": list(cfg.evaluation.methods),
-            "trials": cfg.evaluation.trials,
-            "training_slots": cfg.evaluation.training_slots,
-            "calibration_slots": cfg.evaluation.calibration_slots,
-            "rho_grid": (None if cfg.evaluation.rho_grid is None
-                         else list(cfg.evaluation.rho_grid)),
-            "delta_rule": cfg.evaluation.delta_rule,
-            "proportional_factor": cfg.evaluation.proportional_factor,
-        },
-        "seed": cfg.seed,
-    }
+    """The JSON form of a run configuration: every dataclass field, in
+    declaration order, with tuples as lists and transmitter ids as strings."""
+    return json.loads(json.dumps(asdict(cfg)))
 
 
 def load(path) -> RunConfig:

@@ -93,13 +93,6 @@ def chain(n: int) -> Topology:
     return Topology(n, tuple((i, i + 1) for i in range(1, n)))
 
 
-def star(n: int, hub: int = 1) -> Topology:
-    """Star on n nodes with the given hub."""
-    if not 1 <= hub <= n:
-        raise ValueError("hub outside node range")
-    return Topology(n, tuple(_canon(hub, j) for j in range(1, n + 1) if j != hub))
-
-
 def neighbors(top: Topology, j: int) -> Tuple[int, ...]:
     """Neighbors of j in ascending order."""
     if not 1 <= j <= top.node_count:

@@ -19,8 +19,8 @@ linear rules to Gaussian mixtures over the nodes' components, and
 batch at once.  Each pair keeps its own ascent state, so its path is
 the one it would take alone.  `optimize_p1` runs all nodes in one search;
 `neighbourhood_designs` runs the nodes of each degree in one search, after
-pricing their coarse start grids in one batch, and `optimize_p2` is its
-one-node case.
+pricing their coarse start grids in one batch; a node's design is the one
+its own one-node search would find.
 P1 seeds each row with that node's P2 design, which the caller passes in, so
 a cell solves every neighbourhood design once.  Every design takes one
 `ComponentMoments`: exact components from `scenario.moments_from_scenario`,
@@ -205,8 +205,10 @@ def _check_alpha(alpha: float) -> None:
 
 def _neighbourhood_group(moments: ComponentMoments, top: Topology, group,
                          alpha: float, seed: int | None) -> dict:
-    """`optimize_p2` designs of the nodes of `group`, which share a degree,
-    from one lockstep search; node -> P2Solution."""
+    """Neighbourhood designs of the nodes of `group`, which share a degree,
+    from one lockstep search from the origin and a coarse grid or seeded
+    random starts, so none is worse than the local detector; node ->
+    P2Solution."""
     dim = len(neighbors(top, group[0]))
     box = stability_box(top) * (1.0 - 1e-9)
     cols = np.array([[j] + list(neighbors(top, j)) for j in group], dtype=np.intp)
@@ -235,26 +237,11 @@ def _neighbourhood_group(moments: ComponentMoments, top: Topology, group,
             for j, c, (point, converged, tau, _, pd, evals) in zip(group, cols, found)}
 
 
-def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
-                alpha: float, seed: int | None = None) -> P2Solution:
-    """Tune neighbour coefficients for one node at a pinned false-alarm rate,
-    on that node's components in `moments`.
-
-    Own score keeps weight one; the neighbour coefficients live in the open
-    stability box.  Multi-start (origin plus a coarse grid or seeded random
-    starts) followed by cyclic coordinate ascent; the returned point is never
-    worse than the plain local detector, because the origin is always one of
-    the evaluated candidates and ascent never steps downhill.
-    """
-    _check_alpha(alpha)
-    return _neighbourhood_group(moments, top, [node], alpha, seed)[node]
-
-
 def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float,
                           seed: int | None = None) -> dict:
-    """Node -> `optimize_p2` design for every node of `top`, each on its own
-    components in `moments`.  Nodes of equal degree share one lockstep
-    search; each design equals the node's own `optimize_p2`."""
+    """Node -> neighbourhood (P2) design for every node of `top`, each on
+    its own components in `moments`.  Nodes of equal degree share one
+    lockstep search; each design equals the node's own one-node search."""
     _check_alpha(alpha)
     groups = {}
     for j in top.nodes:
@@ -285,7 +272,7 @@ def optimize_p1(moments: ComponentMoments, top: Topology, alpha: float,
     Each node's row (own weight one, all other entries free in [-2, 2]) is
     tuned to maximize detection at false-alarm rate alpha; all rows run in
     one lockstep search.  `neighbourhood` maps every node to its
-    `optimize_p2` design at that alpha; rows are seeded with it
+    neighbourhood design at that alpha; rows are seeded with it
     zero-extended, so the result is never worse than that design under the
     same statistics.  Rows whose kept ascent stopped at the sweep cap before
     converging are named in `notes`.

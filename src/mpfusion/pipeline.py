@@ -28,13 +28,15 @@ engine runs on the calibration and on the evaluation campaign, and each
 node's threshold is the (1 - far) quantile of its decision variable over
 the calibration slots where it is idle, which pins its sampled false-alarm
 rate without a model of the law.  A cell solves its neighbourhood designs
-once, and linProp and linOpt read that one set.
+once, and linProp and linOpt read that one set.  Every engine run, on
+probes or on scores, goes through `_engine_lambda`; `conditioned_samples`
+pins a transmitter pattern by running the scenario's frozen chain.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -148,7 +150,7 @@ class _Cell:
 
     @cached_property
     def neighbourhood_designs(self) -> dict:
-        """Node -> `optimize_p2` design on the exact moments."""
+        """Node -> neighbourhood (P2) design on the exact moments."""
         return optimizer.neighbourhood_designs(self.pattern_moments, self.top,
                                                self.cfg.far, seed=self.seed)
 
@@ -174,20 +176,13 @@ class _Cell:
         return taus
 
 
-def _engine_lambda(cell: _Cell, algorithm: str, params, gamma) -> np.ndarray:
-    """Decision variables of a message-passing engine on the scores `gamma`."""
-    state = discrete.run_messages(cell.top, gamma, algorithm, cell.iterations,
-                                  params=params)
-    return discrete.decision_variables(state, cell.top, gamma)
-
-
-def _linear_engine_matrix(top: Topology, coefficients, iterations: int) -> np.ndarray:
-    """Exact weight matrix of the iterated linearized engine (probe columns)."""
-    n = top.node_count
-    probes = np.eye(n)
-    state = discrete.run_messages(top, probes, discrete.LINEARIZED, iterations,
-                                  coefficients=coefficients)
-    return discrete.decision_variables(state, top, probes)
+def _engine_lambda(top: Topology, gamma, algorithm: str, iterations: int,
+                   **gains) -> np.ndarray:
+    """Decision variables of a message-passing engine on the scores `gamma`;
+    on the unit probes np.eye(N) the linearized engine gives its exact
+    weight matrix, one column per probe."""
+    state = discrete.run_messages(top, gamma, algorithm, iterations, **gains)
+    return discrete.decision_variables(state, top, gamma)
 
 
 def _search_extras(solutions: dict) -> dict:
@@ -224,7 +219,8 @@ def _linear_rule(cell: _Cell, spec: MethodSpec):
             extras["couplings"] = _couplings(params)
         else:
             coeffs = optimizer.egc_weights(top, spec.param)
-        weights = _linear_engine_matrix(top, coeffs, cell.iterations)
+        weights = _engine_lambda(top, np.eye(top.node_count), discrete.LINEARIZED,
+                                 cell.iterations, coefficients=coeffs)
         extras["weights"] = weights.tolist()
         return weights, None, extras
     if spec.kind == "linProp":
@@ -259,9 +255,10 @@ def _evaluate_preset(cell: _Cell, spec: MethodSpec) -> MethodResult:
     if spec.kind in ("mp", "bp"):
         params = cell.learned_params(spec.param)
         algorithm = discrete.MAX_PRODUCT if spec.kind == "mp" else discrete.SUM_PRODUCT
-        taus = cell.empirical_thresholds(
-            _engine_lambda(cell, algorithm, params, cell.calib.gamma))
-        lam = _engine_lambda(cell, algorithm, params, cell.eval.gamma)
+        taus = cell.empirical_thresholds(_engine_lambda(
+            cell.top, cell.calib.gamma, algorithm, cell.iterations, params=params))
+        lam = _engine_lambda(cell.top, cell.eval.gamma, algorithm, cell.iterations,
+                             params=params)
         extras = {"couplings": _couplings(params)}
     else:
         weights, taus, extras = _linear_rule(cell, spec)
@@ -331,21 +328,24 @@ def sweep_rho(cfg: ScenarioConfig, methods, rho_grid, seed: int, *,
 def conditioned_samples(cfg: ScenarioConfig, algorithm: str, pattern, trials: int,
                         seed: int, *, coupling_high: float = 100.0,
                         iterations: int | None = None, index: int = 0):
-    """Decision-variable samples with the transmitter pattern pinned.
-
-    Couplings are drawn once, uniformly from (0, coupling_high) per edge
+    """Decision-variable samples with the transmitter pattern pinned: the
+    campaign runs on `cfg` with flip = coupling = 0 and initial_activity =
+    pattern, a chain that never leaves its first pattern.  Couplings are drawn once, uniformly from (0, coupling_high) per edge
     (merged convention), from a stream keyed by the seed — heavy coupling is
     the regime where message clipping could distort the output law most.
     Returns (lam, campaign, params).
     """
     top = cfg.topology()
     iters = _rounds(top, iterations)
+    pattern = tuple(pattern)
+    try:
+        frozen = replace(cfg, flip=0.0, coupling=0.0, initial_activity=pattern)
+    except ValueError:
+        raise ValueError(f"pattern {pattern} must be {cfg.pu_count} 0/1 flags, "
+                         "one per transmitter") from None
     draw = rng.stream(seed, rng.COUPLING_DRAW, index)
     couplings = {edge: float(draw.uniform(0.0, coupling_high))
                  for edge in top.edges}
     params = MrfParams(top, couplings, convention="merged")
-    camp = scenario.conditioned_campaign(cfg, trials, seed, tuple(pattern),
-                                         index=index)
-    state = discrete.run_messages(top, camp.gamma, algorithm, iters, params=params)
-    lam = discrete.decision_variables(state, top, camp.gamma)
-    return lam, camp, params
+    camp = run_campaign(frozen, trials, seed, index=index)
+    return _engine_lambda(top, camp.gamma, algorithm, iters, params=params), camp, params

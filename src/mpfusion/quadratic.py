@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import MrfParams, Topology, neighbors, run_schedule
+from .graph import MrfParams, Topology, hop_distance, run_schedule
 
 PAPER = "paper"
 EXACT = "exact"
@@ -181,7 +181,6 @@ class FusionWeights:
 
     def locality_violations(self, top: Topology, tol: float = 1e-12) -> List[Tuple[int, int, float]]:
         """(j, i, w) entries that should be zero by the hop bound but aren't."""
-        from .graph import hop_distance
         bad = []
         n = top.node_count
         for j in range(1, n + 1):
@@ -241,33 +240,3 @@ def verify_linearity(instance: QuadraticInstance, iteration: int,
     predicted = fw.weights @ gammas + fw.offset[:, None]
     return float(np.max(np.abs(lam - predicted)))
 
-
-def mrc_probe(instance: QuadraticInstance, k: int, j: int,
-              energy_sweep: Sequence[float]) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """|du_kj^(2)/dgamma_n| for n in N_k minus j, at each energy of node k.
-
-    Probes the second-round intercept u_{k->j} as an affine map of gamma
-    (difference of unit-vector and zero probes — exact).  Returns the probed
-    neighbor ids and a (len(sweep), len(neighbors)) magnitude table; the
-    no-other-neighbors case yields an empty table.
-    """
-    adjacent = neighbors(instance.topology, k)
-    if j not in adjacent:
-        raise ValueError(f"({k}, {j}) is not an edge")
-    others = tuple(n for n in adjacent if n != j)
-    mags = np.zeros((len(energy_sweep), len(others)))
-    if not others:
-        return others, mags
-    n = instance.topology.node_count
-    probes = np.concatenate([np.zeros((n, 1)), np.eye(n)], axis=1)
-    for row, ek in enumerate(energy_sweep):
-        energies = list(instance.energies)
-        energies[k - 1] = float(ek)
-        inst = QuadraticInstance(instance.topology, instance.params,
-                                 tuple(energies), instance.convention)
-        state = run(inst, probes, 2)
-        u = np.asarray(state.estimates[(k, j)][0])
-        base = u[0]
-        for col, nb in enumerate(others):
-            mags[row, col] = abs(u[nb] - base)
-    return others, mags

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import _is_integer
+
 _WORD = 0xFFFFFFFFFFFFFFFF
 _HALF = 2 ** 32     # purpose and index each fill one half of the key word
 
@@ -31,9 +33,13 @@ def stream(master_seed: int, purpose: int, index: int = 0) -> np.random.Generato
     """Open the (purpose, index) substream of a master seed.
 
     Deterministic: the same triple always yields the same stream, no matter
-    how many other streams were opened before it.  Purpose and index must
-    each fit in 32 bits, since wider values would alias other keys.
+    how many other streams were opened before it.  All three must be
+    integers, not bools or floats that would be truncated onto another key;
+    purpose and index must each fit in 32 bits, since wider values would
+    alias other keys.
     """
+    if not all(map(_is_integer, (master_seed, purpose, index))):
+        raise ValueError(f"stream keys must be integers, got {(master_seed, purpose, index)}")
     if not 0 <= master_seed <= _WORD:
         raise ValueError(f"master seed must fit in 64 bits, got {master_seed}")
     if not (0 <= purpose < _HALF and 0 <= index < _HALF):

@@ -62,6 +62,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _sequence(value, what: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def _is_real(value) -> bool:
     """True for a finite Python or numpy real; bools and strings are not
     levels, rates or probabilities."""
@@ -146,16 +153,15 @@ class ScenarioConfig:
             raise ValueError("false-alarm target must lie in (0, 1)")
         if self.initial_activity is not None:
             ia = tuple(_integer(b, "initial_activity entry")
-                       for b in self.initial_activity)
+                       for b in _sequence(self.initial_activity, "initial_activity"))
             if len(ia) != len(cov) or any(b not in (0, 1) for b in ia):
                 raise ValueError("initial_activity must be one 0/1 flag per transmitter")
             object.__setattr__(self, "initial_activity", ia)
         if self.edges is not None:
-            object.__setattr__(
-                self, "edges",
-                tuple((_integer(a, "edges entry"), _integer(b, "edges entry"))
-                      for a, b in self.edges))
-        self.topology()     # a bad edge list fails here, not at run time
+            object.__setattr__(self, "edges", tuple(
+                tuple(_integer(a, "edges entry") for a in _sequence(e, "edge"))
+                for e in _sequence(self.edges, "edges")))
+        self.topology()     # a bad edge list (e.g. one not a pair) fails here
 
     @property
     def pu_ids(self) -> tuple:
@@ -277,18 +283,12 @@ def stationary_activity(config: ScenarioConfig) -> np.ndarray:
 
 
 def draw_activity(config: ScenarioConfig, slots: int,
-                  gen: np.random.Generator,
-                  forced: tuple | None = None) -> np.ndarray:
+                  gen: np.random.Generator) -> np.ndarray:
     """(T, P) activity matrix; starts from the stationary law (or the
-    configured/forced pattern) and walks the coupled chains."""
+    configured pattern) and walks the coupled chains."""
     if slots < 1:
         raise ValueError("need at least one slot")
     p = config.pu_count
-    if forced is not None:
-        pattern = np.asarray(forced, dtype=np.int8)
-        if pattern.shape != (p,) or not np.all(np.isin(pattern, (0, 1))):
-            raise ValueError("forced activity must be one 0/1 flag per transmitter")
-        return np.tile(pattern, (slots, 1))
     if config.initial_activity is not None:
         state = list(config.initial_activity)
     else:
@@ -339,15 +339,16 @@ class Campaign:
     index: int
 
 
-def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
-                 forced_activity: tuple | None = None) -> Campaign:
+def run_campaign(config: ScenarioConfig, slots: int, seed: int,
+                 index: int = 0) -> Campaign:
     """Simulate `slots` sensing slots.
 
     Reproducible from (config, slots, seed, index): transmitter activity and
     receiver noise come from separately keyed streams, so campaigns with
     different indices are independent while a repeated call is bit-identical.
-    `forced_activity` pins the transmitter pattern for every slot, which is
-    how conditioned sampling is done.  Receiver noise is drawn and reduced
+    A scenario with flip = coupling = 0 and an `initial_activity` is a frozen
+    chain that keeps that pattern for every slot, which is how conditioned
+    sampling is done.  Receiver noise is drawn and reduced
     to scores one node and `_OBS_CHUNK` slots at a time, into one buffer
     reused for the whole campaign.  Raw observations are never held for
     more than that block, and no per-chunk allocation is big enough for
@@ -357,7 +358,7 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int, index: int = 0,
     act_gen = rng.stream(seed, rng.PU_ACTIVITY, index)
     obs_gen = rng.stream(seed, rng.OBSERVATIONS, index)
 
-    activity = draw_activity(config, slots, act_gen, forced_activity)
+    activity = draw_activity(config, slots, act_gen)
     x = node_states(config, activity)
 
     amp = link_amplitudes(config)                   # (N, P)
@@ -453,13 +454,6 @@ def moments_from_scenario(stats: ScenarioStats) -> ComponentMoments:
     return ComponentMoments.from_cells(
         {j: (stats.x_table[j - 1], stats.probs, stats.gamma_mean.T, stats.gamma_var.T)
          for j in range(1, stats.config.node_count + 1)})
-
-
-def conditioned_campaign(config: ScenarioConfig, slots: int, seed: int,
-                         pattern: tuple, index: int = 0) -> Campaign:
-    """Campaign with the transmitter pattern pinned for every slot."""
-    return run_campaign(config, slots, seed, index=index,
-                        forced_activity=tuple(pattern))
 
 
 def with_rho(config: ScenarioConfig, rho_db: float,

@@ -26,6 +26,8 @@ from typing import Tuple
 import numpy as np
 import scipy.special as _sp
 
+from .graph import _is_integer
+
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -89,7 +91,7 @@ def _check_noise(noise_var: float) -> None:
 
 
 def _check_samples(sample_count: int) -> None:
-    if int(sample_count) != sample_count or sample_count < 1:
+    if not _is_integer(sample_count) or sample_count < 1:
         raise ValueError("sample count must be a positive integer")
 
 

@@ -10,11 +10,19 @@ through the exact components one node at a time, and `gfun` and
 them the tests pin the batched push-forward and threshold solve.
 `node_moments` builds one node's `ComponentMoments` from its components,
 and `own_components` reads one node's unpadded components out of a set.
+
+`star` and `frozen` build topologies and pinned-pattern scenarios,
+`optimize_p2` is the one-node neighbourhood design that
+`optimizer.neighbourhood_designs` runs in lockstep, and `mrc_probe` reads
+the energy damping of the quadratic relaxation's second-round estimates.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from mpfusion.graph import MrfParams, Topology
+from mpfusion.graph import MrfParams, Topology, neighbors
+from mpfusion.optimizer import P2Solution, _check_alpha, _neighbourhood_group
 from mpfusion.performance import (
     _THRESHOLD_TOL,
     ComponentMoments,
@@ -22,7 +30,57 @@ from mpfusion.performance import (
     mixture_tail,
     solve_thresholds,
 )
+from mpfusion.quadratic import QuadraticInstance, run
 from mpfusion.scenario import ScenarioConfig, ScenarioStats, moments_from_scenario
+
+
+def star(n: int, hub: int = 1) -> Topology:
+    """Star on n nodes with the given hub."""
+    if not 1 <= hub <= n:
+        raise ValueError("hub outside node range")
+    return Topology(n, tuple((hub, j) for j in range(1, n + 1) if j != hub))
+
+
+def frozen(config: ScenarioConfig, pattern) -> ScenarioConfig:
+    """The scenario's frozen chain: no flips and no common draws, started in
+    `pattern`, so every slot of its campaigns keeps that pattern."""
+    return replace(config, flip=0.0, coupling=0.0, initial_activity=tuple(pattern))
+
+
+def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
+                alpha: float, seed=None) -> P2Solution:
+    """One node's neighbourhood design at a pinned false-alarm rate, on that
+    node's components in `moments`: the one-node lockstep search."""
+    _check_alpha(alpha)
+    return _neighbourhood_group(moments, top, [node], alpha, seed)[node]
+
+
+def mrc_probe(instance: QuadraticInstance, k: int, j: int, energy_sweep):
+    """|du_kj^(2)/dgamma_n| for n in N_k minus j, at each energy of node k.
+
+    Probes the second-round intercept u_{k->j} as an affine map of gamma
+    (difference of unit-vector and zero probes — exact).  Returns the probed
+    neighbor ids and a (len(sweep), len(neighbors)) magnitude table; the
+    no-other-neighbors case yields an empty table.
+    """
+    adjacent = neighbors(instance.topology, k)
+    if j not in adjacent:
+        raise ValueError(f"({k}, {j}) is not an edge")
+    others = tuple(n for n in adjacent if n != j)
+    mags = np.zeros((len(energy_sweep), len(others)))
+    if not others:
+        return others, mags
+    n = instance.topology.node_count
+    probes = np.concatenate([np.zeros((n, 1)), np.eye(n)], axis=1)
+    for row, ek in enumerate(energy_sweep):
+        energies = list(instance.energies)
+        energies[k - 1] = float(ek)
+        inst = QuadraticInstance(instance.topology, instance.params,
+                                 tuple(energies), instance.convention)
+        u = np.asarray(run(inst, probes, 2).estimates[(k, j)][0])
+        for col, nb in enumerate(others):
+            mags[row, col] = abs(u[nb] - u[0])
+    return others, mags
 
 
 def uniform_params(top: Topology, j_value: float, convention: str = "merged") -> MrfParams:

@@ -29,19 +29,18 @@ from mpfusion.discrete import (
     run_messages,
     s_transfer,
 )
-from mpfusion.graph import MrfParams, chain, hop_distance, star
+from mpfusion.graph import MrfParams, chain, hop_distance
 from mpfusion.performance import gaussianity_check
 from mpfusion.sensing import q_function
-from mpfusion.quadratic import EXACT, PAPER, QuadraticInstance, extract_weights, mrc_probe, run, verify_linearity
+from mpfusion.quadratic import EXACT, PAPER, QuadraticInstance, extract_weights, run, verify_linearity
 from mpfusion.scenario import (
     ScenarioConfig,
-    conditioned_campaign,
     nominal_templates,
     run_campaign,
     scenario_stats,
 )
 
-from helpers import gfun, solve_threshold, stats_for_weights
+from helpers import frozen, gfun, mrc_probe, solve_threshold, star, stats_for_weights
 
 BENCH = ScenarioConfig()          # 5-node chain, rho -5 dB, delta 1 dB, K=100
 MASTER_SEED = 12345
@@ -294,8 +293,8 @@ def test_criterion_07_calibration():
         tails = q_function((taus[:, None] - comp_mean) / comp_std)
         hit = np.empty((len(stats.patterns), 5))
         for c, pattern in enumerate(stats.patterns):
-            camp = conditioned_campaign(coh, slots, MASTER_SEED,
-                                        tuple(pattern), index=10 * rule + c)
+            camp = run_campaign(frozen(coh, pattern), slots, MASTER_SEED,
+                                index=10 * rule + c)
             lam = w_mat @ camp.gamma
             hit[c] = np.mean(lam > taus[:, None], axis=1)
         for j in range(1, 6):

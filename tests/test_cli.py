@@ -204,3 +204,26 @@ def test_json_reports_have_no_nan_tokens(tmp_path):
     text = (out / "report.json").read_text()
     assert "NaN" not in text and "Infinity" not in text
     json.loads(text)                           # strictly valid JSON
+
+
+@pytest.mark.parametrize("scenario,message", [
+    ({"edges": [1, 2]}, "$.scenario: edge must be a sequence, got 1"),
+    ({"initial_activity": 5}, "$.scenario: initial_activity must be a sequence, got 5"),
+], ids=["edge-not-a-pair", "scalar-activity"])
+def test_malformed_scenario_shape_is_a_clean_error(tmp_path, capsys, scenario, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenario": scenario}))
+    rc = main(["simulate", "--config", str(path), "--out",
+               str(tmp_path / "never")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pattern", ["1,0,1", "1,2"], ids=["wrong-length", "not-0-1"])
+def test_bad_pattern_is_a_clean_error(tmp_path, capsys, pattern):
+    rc = main(["gaussianity", "--out", str(tmp_path / "never"), "--trials", "200",
+               "--pattern", pattern])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"pattern {tuple(int(b) for b in pattern.split(','))} must be 2 0/1 flags" in err
+    assert "initial_activity" not in err

@@ -27,8 +27,8 @@ def test_default_round_trip():
     assert again == cfg
 
 
-def test_custom_round_trip():
-    cfg = RunConfig(
+def _custom_config():
+    return RunConfig(
         scenario=ScenarioConfig(rho_db=-9.0, delta_rho_db=0.5,
                                 sensing_mode="matched",
                                 on_prob=(0.4, 0.4), coupling=0.25,
@@ -39,9 +39,37 @@ def test_custom_round_trip():
                                    delta_rule="proportional"),
         seed=777,
     )
+
+
+def test_custom_round_trip():
+    cfg = _custom_config()
     d = to_dict(cfg)
     assert json.loads(json.dumps(d)) == d           # plain-JSON representable
     assert from_dict(d) == cfg
+
+
+def test_to_dict_keys_and_order_pinned():
+    # the JSON written into every report: key names, their order and the
+    # list/string forms of tuples and transmitter ids must not drift
+    want = {
+        "scenario": {"node_count": 5, "edges": None,
+                     "coverage": {"1": [1, 2, 3], "2": [3, 4, 5]},
+                     "rho_db": -9.0, "delta_rho_db": 0.5, "sample_count": 100,
+                     "noise_var": 1.0, "far": 0.1, "on_prob": [0.4, 0.4],
+                     "flip": 0.2, "coupling": 0.25, "sensing_mode": "matched",
+                     "initial_activity": [1, 0]},
+        "detector": {"iterations": 2, "training_labels": "genie"},
+        "evaluation": {"methods": ["local", "mp0.1"], "trials": 500,
+                       "training_slots": 2500, "calibration_slots": 20000,
+                       "rho_grid": [-8.0, -4.0], "delta_rule": "proportional",
+                       "proportional_factor": 0.1},
+        "seed": 777,
+    }
+    assert json.dumps(to_dict(_custom_config())) == json.dumps(want)
+    edged = to_dict(RunConfig(scenario=ScenarioConfig(
+        node_count=3, edges=((2, 3), (1, 2)), coverage={1: (1, 2, 3)}, on_prob=0.5)))
+    assert edged["scenario"]["edges"] == [[2, 3], [1, 2]]
+    assert edged["scenario"]["on_prob"] == [0.5]
 
 
 def test_empty_dict_gives_defaults():
@@ -144,6 +172,19 @@ def test_seed_outside_64_bits_rejected_at_load(seed):
     with pytest.raises(ConfigError, match=r"\$\.seed"):
         from_dict({"seed": seed})
     assert from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("scenario,message", [
+    ({"edges": [1, 2]}, r"edge must be a sequence, got 1"),
+    ({"edges": 5}, r"edges must be a sequence, got 5"),
+    ({"edges": [[1, 2, 3]]}, r"edge \(1, 2, 3\) is not a pair"),
+    ({"initial_activity": 5}, r"initial_activity must be a sequence, got 5"),
+], ids=["edge-not-a-pair", "edges-not-a-list", "edge-triple", "scalar-activity"])
+def test_malformed_scenario_shapes_name_their_path(scenario, message):
+    with pytest.raises(ConfigError, match=r"^\$\.scenario: " + message):
+        from_dict({"scenario": scenario})
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig(**scenario)
 
 
 def test_scenario_errors_carry_scenario_path():

@@ -28,9 +28,9 @@ from mpfusion.discrete import (
     run_messages,
     s_transfer,
 )
-from mpfusion.graph import MrfParams, Topology, chain, feeder_edges, star
+from mpfusion.graph import MrfParams, Topology, chain, feeder_edges
 from mpfusion.optimizer import ContractionWarning, egc_weights, stability_box
-from helpers import uniform_params
+from helpers import star, uniform_params
 from strategies import random_graphs
 
 

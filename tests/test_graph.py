@@ -21,9 +21,8 @@ from mpfusion.graph import (
     max_degree,
     message_schedule,
     neighbors,
-    star,
 )
-from helpers import uniform_params
+from helpers import star, uniform_params
 from strategies import random_graphs
 
 

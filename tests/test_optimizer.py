@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfusion import optimizer, rng
-from mpfusion.graph import Topology, chain, neighbors, star
+from mpfusion.graph import Topology, chain, neighbors
 from mpfusion.optimizer import (
     BlindResult,
     ComponentMoments,
@@ -28,7 +28,6 @@ from mpfusion.optimizer import (
     learn_couplings,
     neighbourhood_designs,
     optimize_p1,
-    optimize_p2,
     stability_box,
 )
 from mpfusion.performance import mixture_tail, solve_thresholds
@@ -38,7 +37,15 @@ from mpfusion.scenario import (
     scenario_stats,
 )
 
-from helpers import gfun, node_moments, own_components, solve_threshold, stats_for_weights
+from helpers import (
+    gfun,
+    node_moments,
+    optimize_p2,
+    own_components,
+    solve_threshold,
+    star,
+    stats_for_weights,
+)
 
 
 def _two_node_moments(sep=2.0, noise=1.0, corr_quality=1.0):

@@ -18,7 +18,7 @@ from mpfusion.pipeline import (
     parse_method,
     sweep_rho,
 )
-from mpfusion.scenario import ScenarioConfig, run_campaign, with_rho
+from mpfusion.scenario import ScenarioConfig, node_states, run_campaign, with_rho
 
 from helpers import solve_threshold, stats_for_weights, tree_config
 
@@ -141,8 +141,8 @@ def _bare_cell(cfg, seed=3):
 def test_linear_thresholds_equal_per_node_route(cfg):
     cell = _bare_cell(cfg)
     n = cell.top.node_count
-    egc = pipeline._linear_engine_matrix(cell.top, optimizer.egc_weights(cell.top, 0.3),
-                                         cell.iterations)
+    egc = pipeline._engine_lambda(cell.top, np.eye(n), discrete.LINEARIZED, cell.iterations,
+                                  coefficients=optimizer.egc_weights(cell.top, 0.3))
     rand = np.random.default_rng(n).uniform(-0.8, 0.8, (n, n))
     np.fill_diagonal(rand, 1.0)
     for w in (np.eye(n), egc, rand):
@@ -185,7 +185,7 @@ def test_linear_presets_probe_the_engine_once(monkeypatch):
 
     # the probed matrix is the engine's exact rule on any scores
     coeffs = optimizer.egc_weights(top, 0.3)
-    w = pipeline._linear_engine_matrix(top, coeffs, 4)
+    w = pipeline._engine_lambda(top, np.eye(5), discrete.LINEARIZED, 4, coefficients=coeffs)
     gamma = pipeline.run_campaign(cfg, 400, 6, index=pipeline._EVAL).gamma
     engine = discrete.decision_variables(
         run(top, gamma, discrete.LINEARIZED, 4, coefficients=coeffs), top, gamma)
@@ -353,6 +353,17 @@ def test_conditioned_samples_shapes_and_pinning():
     assert set(params.couplings) == set(cfg.topology().edges)
     for j in params.couplings.values():
         assert 0.0 < j < 100.0
+
+
+def test_conditioned_samples_pin_every_transmitter_of_the_tree():
+    # seven coupled transmitters: the frozen chain neither flips one nor
+    # draws a common state, and the truth follows the pinned pattern
+    cfg = tree_config()
+    pattern = (1, 0, 1, 1, 0, 0, 1)
+    lam, camp, _ = conditioned_samples(cfg, "sum_product", pattern, 300, seed=34)
+    assert lam.shape == (15, 300)
+    assert np.all(camp.activity == np.array(pattern))
+    np.testing.assert_array_equal(camp.x, node_states(cfg, camp.activity))
 
 
 def test_conditioned_samples_deterministic():

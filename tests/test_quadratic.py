@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
-from mpfusion.graph import MrfParams, chain, feeder_edges, neighbors, star
+from mpfusion.graph import MrfParams, chain, feeder_edges, neighbors
 from mpfusion.quadratic import (
     EXACT,
     PAPER,
@@ -30,11 +30,10 @@ from mpfusion.quadratic import (
     decision_variables,
     extract_weights,
     local_quadratic,
-    mrc_probe,
     run,
     verify_linearity,
 )
-from helpers import uniform_params
+from helpers import mrc_probe, star, uniform_params
 from strategies import random_graphs
 
 

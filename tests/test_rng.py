@@ -57,3 +57,17 @@ def test_large_seed_and_index_accepted():
 def test_out_of_range_keys_rejected(seed, purpose, index):
     with pytest.raises(ValueError):
         rng.stream(seed, purpose, index)
+
+
+@pytest.mark.parametrize("seed,purpose,index", [
+    (1.7, rng.GENERIC, 0),               # would draw seed 1's stream
+    (1.0, rng.GENERIC, 0),
+    (True, rng.GENERIC, 0),              # would act as seed 1
+    (1, float(rng.GENERIC), 0),
+    (1, rng.GENERIC, 2.5),
+    (1, rng.GENERIC, False),
+])
+def test_non_integer_keys_rejected(seed, purpose, index):
+    with pytest.raises(ValueError, match="integers"):
+        rng.stream(seed, purpose, index)
+    rng.stream(np.uint64(1), np.int32(rng.GENERIC), np.int64(0))   # numpy ints are fine

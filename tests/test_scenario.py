@@ -23,7 +23,6 @@ from mpfusion import rng
 from mpfusion.scenario import (
     Campaign,
     ScenarioConfig,
-    conditioned_campaign,
     draw_activity,
     link_amplitudes,
     moments_from_scenario,
@@ -41,6 +40,7 @@ from mpfusion.scenario import (
 from mpfusion.sensing import energy_moments
 
 from helpers import (
+    frozen,
     gen_observations,
     gfun,
     llr_energy,
@@ -159,9 +159,8 @@ def test_draw_activity_long_run_frequencies():
 
 
 def test_forced_activity_pins_every_slot():
-    cfg = ScenarioConfig()
     gen = rng.stream(54, rng.GENERIC, 0)
-    act = draw_activity(cfg, 64, gen, forced=(1, 0))
+    act = draw_activity(frozen(ScenarioConfig(), (1, 0)), 64, gen)
     assert np.all(act == np.array([1, 0]))
 
 
@@ -326,7 +325,7 @@ def test_campaign_truth_consistent_with_activity():
 
 def test_energy_scores_match_analytic_moments():
     cfg = ScenarioConfig(rho_db=-5.0)
-    camp = run_campaign(cfg, 20000, seed=11, forced_activity=(1, 0))
+    camp = run_campaign(frozen(cfg, (1, 0)), 20000, seed=11)
     stats = scenario_stats(cfg)
     pat = [tuple(p) for p in stats.patterns].index((1, 0))
     for j in range(1, 6):
@@ -339,7 +338,7 @@ def test_energy_scores_match_analytic_moments():
 
 def test_matched_mode_scores_match_analytic_moments():
     cfg = ScenarioConfig(rho_db=-5.0, sensing_mode="matched")
-    camp = run_campaign(cfg, 20000, seed=12, forced_activity=(1, 1))
+    camp = run_campaign(frozen(cfg, (1, 1)), 20000, seed=12)
     stats = scenario_stats(cfg)
     pat = [tuple(p) for p in stats.patterns].index((1, 1))
     for j in (1, 3, 5):
@@ -354,7 +353,7 @@ def test_matched_mode_scores_match_analytic_moments():
 def test_energy_scores_equal_per_sample_statistic(slots):
     cfg = ScenarioConfig(rho_db=-5.0)
     pattern = (1, 0)
-    camp = run_campaign(cfg, slots, seed=13, index=4, forced_activity=pattern)
+    camp = run_campaign(frozen(cfg, pattern), slots, seed=13, index=4)
     amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
     y = gen_observations(np.repeat(amp[:, None], slots, axis=1), cfg.noise_var,
                          cfg.sample_count, rng.stream(13, rng.OBSERVATIONS, 4))
@@ -365,7 +364,7 @@ def test_energy_scores_equal_per_sample_statistic(slots):
 def test_matched_scores_match_per_sample_statistic(slots):
     cfg = ScenarioConfig(rho_db=-5.0, sensing_mode="matched")
     pattern = (0, 1)
-    camp = run_campaign(cfg, slots, seed=14, index=4, forced_activity=pattern)
+    camp = run_campaign(frozen(cfg, pattern), slots, seed=14, index=4)
     amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
     y = gen_observations(np.repeat(amp[:, None], slots, axis=1), cfg.noise_var,
                          cfg.sample_count, rng.stream(14, rng.OBSERVATIONS, 4))
@@ -508,8 +507,7 @@ def test_stats_for_weights_never_on_node_raises():
 
 
 def test_conditioned_campaign_pins_pattern():
-    cfg = ScenarioConfig()
-    camp = conditioned_campaign(cfg, 50, seed=16, pattern=(0, 1))
+    camp = run_campaign(frozen(ScenarioConfig(), (0, 1)), 50, seed=16)
     assert isinstance(camp, Campaign)
     assert np.all(camp.activity == np.array([0, 1]))
 

@@ -55,6 +55,16 @@ def test_energy_threshold_pins_standalone_far():
     assert q_function((0.0 - mean0) / math.sqrt(var0)) == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, 100.5, 0, "100"])
+def test_sample_count_must_be_a_positive_integer(count):
+    # a bool or an integral float is not a window length, as everywhere else
+    with pytest.raises(ValueError, match="sample count"):
+        energy_threshold(1.0, count, 0.1)
+    with pytest.raises(ValueError, match="sample count"):
+        energy_moments(0.0, 1.0, count, 0.0)
+    assert energy_threshold(1.0, np.int64(100), 0.1) == energy_threshold(1.0, 100, 0.1)
+
+
 def test_llr_matched_hand_case():
     # y = [1, 2], template = [1, 1]: t^T y = 3, ||t||^2 = 2 -> 3 - 1 = 2
     assert llr_matched(np.array([1.0, 2.0]), np.array([1.0, 1.0])) == pytest.approx(2.0)

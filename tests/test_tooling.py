@@ -9,6 +9,11 @@ fails here.  No cell builds a `ConditionalStats`, so both class patches are
 exercised by one `stats_for_row` call on exact components after the cell,
 which each must count exactly once.  The check runs in a subprocess because
 instrumenting patches the library's classes for the rest of the process.
+
+A second check keeps test-only entry points out of the library: every
+top-level public function and class of `src/mpfusion` must be loaded
+somewhere in the library or the harness, outside its own definition.
+Builders and oracles that only the tests call belong in `tests/helpers.py`.
 """
 
 import os
@@ -47,3 +52,39 @@ def test_benchmark_tracer_instruments_the_library():
     assert (int(builds), int(evals)) == (1, 1)
     assert {"pipeline.evaluate_cell", "scenario.run_campaign",
             "discrete.run_messages"} <= set(names)
+
+
+def _public_api_without_callers() -> list:
+    """Top-level public functions and classes of `src/mpfusion` that no code
+    in `src/mpfusion` or `perfbench` loads outside their own definition, by
+    name, attribute or import; 'module.name' each."""
+    import ast
+    import glob
+
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "mpfusion", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    defined, uses = [], set()      # (module, name); (name, module, owner)
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        module = os.path.splitext(os.path.basename(path))[0]
+        library = os.path.basename(os.path.dirname(path)) == "mpfusion"
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if (library and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not owner.startswith("_")):
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    uses.add((node.id, module, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.add((node.attr, module, owner))
+                elif isinstance(node, ast.alias):
+                    uses.add((node.name, module, owner))
+    return sorted(f"{m}.{name}" for m, name in defined
+                  if not any(used == name and (mod, owner) != (m, name)
+                             for used, mod, owner in uses))
+
+
+def test_library_has_no_test_only_api():
+    assert _public_api_without_callers() == []
