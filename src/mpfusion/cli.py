@@ -88,6 +88,7 @@ def _load_run(args) -> config_mod.RunConfig:
 
 
 def _out_dir(args) -> str:
+    """Create the output directory, after the work: a failed run leaves none."""
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
     return out
@@ -138,9 +139,9 @@ def _cell_kwargs(cfg: config_mod.RunConfig) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load_run(args)
-    out = _out_dir(args)
     results = pipeline.evaluate_cell(cfg.scenario, cfg.evaluation.methods, cfg.seed,
                                      **_cell_kwargs(cfg))
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "results.csv"), _CSV_HEADER, _result_rows(results))
     _write_json(os.path.join(out, "report.json"), {
         "command": "simulate",
@@ -158,13 +159,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep_snr(args) -> int:
     cfg = _load_run(args)
-    out = _out_dir(args)
     grid = cfg.evaluation.rho_grid or _DEFAULT_RHO_GRID
     results = pipeline.sweep_rho(
         cfg.scenario, cfg.evaluation.methods, grid, cfg.seed,
         delta_rule=cfg.evaluation.delta_rule,
         proportional_factor=cfg.evaluation.proportional_factor,
         **_cell_kwargs(cfg))
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "sweep.csv"), _CSV_HEADER, _result_rows(results))
     _write_json(os.path.join(out, "sweep.json"), {
         "command": "sweep-snr",
@@ -179,7 +180,6 @@ def cmd_sweep_snr(args) -> int:
 
 def cmd_verify_linearity(args) -> int:
     cfg = _load_run(args)
-    out = _out_dir(args)
     # --trials means random probes here, not slots; 200 is plenty
     trials = 200 if args.trials is None else int(args.trials)
     scn = cfg.scenario
@@ -200,6 +200,7 @@ def cmd_verify_linearity(args) -> int:
                "energies": energies,
                "results": []}
     worst = 0.0
+    tables = {}
     gen = rng.stream(cfg.seed, rng.PROBES)
     for convention in (quadratic.PAPER, quadratic.EXACT):
         inst = quadratic.QuadraticInstance(top, params, tuple(energies),
@@ -217,8 +218,11 @@ def cmd_verify_linearity(args) -> int:
             })
             worst = max(worst, residual)
             if convention == quadratic.PAPER:
-                weights.to_csv(os.path.join(out, f"weights_l{iteration}.csv"))
+                tables[iteration] = weights
     payload["max_residual_overall"] = worst
+    out = _out_dir(args)
+    for iteration, weights in tables.items():
+        weights.to_csv(os.path.join(out, f"weights_l{iteration}.csv"))
     _write_json(os.path.join(out, "linearity.json"), payload)
     print(f"max |lambda - (W gamma + w0)| over all probes: {worst:.3e}")
     print(f"wrote {out}/linearity.json and per-iteration weight tables")
@@ -227,9 +231,12 @@ def cmd_verify_linearity(args) -> int:
 
 def cmd_gaussianity(args) -> int:
     cfg = _load_run(args)
-    out = _out_dir(args)
     trials = 10000 if args.trials is None else int(args.trials)
-    pattern = tuple(int(b) for b in args.pattern.split(","))
+    flags = args.pattern.split(",")
+    try:
+        pattern = tuple(int(b) for b in flags)
+    except ValueError:      # left as text, for the pattern check to name
+        pattern = tuple(flags)
     scn = cfg.scenario
     reports = []
     cdf_rows = []
@@ -247,6 +254,7 @@ def cmd_gaussianity(args) -> int:
             fitted = 1.0 - q_function((values - rep.mean) / rep.std)
             for q, val, fit in zip(qs, values, fitted):
                 cdf_rows.append((algorithm, j, val, q, fit))
+    out = _out_dir(args)
     _write_json(os.path.join(out, "gaussianity.json"), {
         "command": "gaussianity",
         "config": config_mod.to_dict(cfg),
@@ -265,7 +273,6 @@ def cmd_gaussianity(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load_run(args)
-    out = _out_dir(args)
     scn = cfg.scenario
     top = scn.topology()
     stats = scenario.scenario_stats(scn)
@@ -295,6 +302,7 @@ def cmd_optimize(args) -> int:
             "folded_cells": blind.folded_cells,
             "solutions": _p2_docs(blind.solutions),
         }
+    out = _out_dir(args)
     _write_json(os.path.join(out, "solution.json"), payload)
     mean_pd = float(np.mean([s.pd for s in hood.values()]))
     print(f"neighbourhood design: mean model pd = {mean_pd:.4f}")

@@ -17,13 +17,16 @@ the common draw or P for the flips.  A generator's `random(n)` returns the
 same doubles as n scalar `random()` calls, so the walk equals a slot-by-slot
 one that draws each uniform as it needs it; the block is sized for the worst
 case, and the uniforms left over at its end belong to the activity stream
-alone, so nothing downstream moves.
+alone, so nothing downstream moves.  Only where each coupling test sits is
+found step by step; per chain a step then resets, keeps or negates the state,
+so the states follow from the last reset and a parity of negations.
 
 Everything here is driven by the keyed streams in `rng`, so campaigns are
 reproducible from (seed, index) regardless of what else ran first.  A
 `Campaign` keeps activity, node truth and local scores, never the raw
-receiver samples.  `ScenarioConfig` builds its topology when constructed,
-so a bad edge list fails there.
+receiver samples: energy scores are one exact noncentral chi-square draw per
+node and slot, matched ones are reduced from K samples.  `ScenarioConfig`
+builds its topology when constructed, so a bad edge list fails there.
 
 The analytic route to a linear rule's mixture is `scenario_stats` ->
 `moments_from_scenario` (one `performance.ComponentMoments` with the exact
@@ -295,25 +298,30 @@ def draw_activity(config: ScenarioConfig, slots: int,
         probs = stationary_activity(config)
         pick = int(np.searchsorted(np.cumsum(probs), gen.random()))
         state = pu_configs(config)[min(pick, probs.size - 1)].tolist()
-    kappa = config.coupling
-    pi0 = config.on_prob[0]
-    # per chain, the flip probability indexed by the current state (off, on)
-    rates = [(2.0 * config.flip * x, 2.0 * config.flip * (1.0 - x))
-             for x in config.on_prob]
     # a step uses at most 1 + P uniforms; the tail of the block may go unused
-    u = gen.random((slots - 1) * (1 + p)).tolist()
-    rows = [state]
-    i = 0
+    u = gen.random((slots - 1) * (1 + p))
+    common = u < config.coupling
+    # where each step's coupling test sits is the walk's one sequential part
+    steps, i, flags = [], 0, common.tolist()
     for _ in range(slots - 1):
-        if u[i] < kappa:
-            state = [1 if u[i + 1] < pi0 else 0] * p
-            i += 2
-        else:
-            state = [s ^ (r < rate[s]) for s, r, rate
-                     in zip(state, u[i + 1:i + 1 + p], rates)]
-            i += 1 + p
-        rows.append(state)
-    return np.array(rows, dtype=np.int8)
+        steps.append(i)
+        i += 2 if flags[i] else 1 + p
+    at = np.array(steps, dtype=np.intp)[:, None]
+    z = u[at + 1] < config.on_prob[0]
+    r = u[at + 1 + np.arange(p)]
+    pi = np.array(config.on_prob)
+    # per slot and chain, the next state from off and from on (slot 0 starts
+    # from the first state): the two agree on a reset, else the step keeps
+    # the state (0, 1) or negates it (1, 0)
+    first = np.array([state], dtype=bool)
+    from_off = np.vstack([first, np.where(common[at], z, r < 2.0 * config.flip * pi)])
+    from_on = np.vstack([first, np.where(common[at], z,
+                                         r >= 2.0 * config.flip * (1.0 - pi))])
+    # a state is the last reset's value, negated once per negation since
+    parity = np.cumsum(from_off > from_on, axis=0) & 1
+    last = np.maximum.accumulate(
+        np.where(from_off == from_on, np.arange(slots)[:, None], 0), axis=0)
+    return (np.take_along_axis(from_off ^ parity, last, axis=0) ^ parity).astype(np.int8)
 
 
 def node_states(config: ScenarioConfig, activity: np.ndarray) -> np.ndarray:
@@ -348,11 +356,11 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int,
     different indices are independent while a repeated call is bit-identical.
     A scenario with flip = coupling = 0 and an `initial_activity` is a frozen
     chain that keeps that pattern for every slot, which is how conditioned
-    sampling is done.  Receiver noise is drawn and reduced
-    to scores one node and `_OBS_CHUNK` slots at a time, into one buffer
-    reused for the whole campaign.  Raw observations are never held for
-    more than that block, and no per-chunk allocation is big enough for
-    heap layout to move the process's peak memory.
+    sampling is done.  An energy score mean(y^2) - tau0 is drawn from its
+    exact law, sigma^2 / K times a noncentral chi-square with K degrees of
+    freedom and noncentrality K a^2 / sigma^2, less tau0.  Matched scores are
+    reduced from K samples per slot, one node and `_OBS_CHUNK` slots at a
+    time, into one buffer reused for the whole campaign.
     """
     slots = _integer(slots, "slots")
     act_gen = rng.stream(seed, rng.PU_ACTIVITY, index)
@@ -366,11 +374,14 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int,
     sigma = np.sqrt(config.noise_var)
     k = config.sample_count
     n = config.node_count
+    if config.sensing_mode == "energy":
+        gamma = obs_gen.noncentral_chisquare(k, k * slot_amp ** 2 / config.noise_var)
+        gamma *= config.noise_var / k
+        gamma -= config.tau0
+        return Campaign(config, activity, x, gamma, seed, index)
 
     templates = nominal_templates(config)
-    tau0 = config.tau0 if config.sensing_mode == "energy" else None
     offsets = k * templates ** 2 / 2.0
-
     gamma = np.empty((n, slots))
     buf = np.empty((min(_OBS_CHUNK, slots), k))
     for start in range(0, slots, _OBS_CHUNK):
@@ -382,11 +393,7 @@ def run_campaign(config: ScenarioConfig, slots: int, seed: int,
             obs_gen.standard_normal(out=y)
             y *= sigma
             y += slot_amp[i, start:stop, None]
-            if config.sensing_mode == "energy":
-                y *= y
-                gamma[i, start:stop] = np.mean(y, axis=1) - tau0
-            else:
-                gamma[i, start:stop] = templates[i] * y.sum(axis=1) - offsets[i]
+            gamma[i, start:stop] = templates[i] * y.sum(axis=1) - offsets[i]
     return Campaign(config, activity, x, gamma, seed, index)
 
 

@@ -227,3 +227,32 @@ def test_bad_pattern_is_a_clean_error(tmp_path, capsys, pattern):
     err = capsys.readouterr().err
     assert f"pattern {tuple(int(b) for b in pattern.split(','))} must be 2 0/1 flags" in err
     assert "initial_activity" not in err
+
+
+def test_non_integer_pattern_is_a_clean_error(tmp_path, capsys):
+    rc = main(["gaussianity", "--out", str(tmp_path / "never"), "--trials", "200",
+               "--pattern", "1,x"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: pattern ('1', 'x') must be 2 0/1 flags, one per transmitter" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussianity", "--trials", "200", "--pattern", "1,0,1"],
+    ["gaussianity", "--trials", "200", "--pattern", "1,x"],
+    ["simulate"], ["sweep-snr"], ["optimize"],
+], ids=["wrong-length-pattern", "non-integer-pattern", "simulate", "sweep-snr",
+        "optimize"])
+def test_failed_run_leaves_no_out_directory(tmp_path, capsys, argv):
+    # duty cycle 1 keeps every node occupied: the run fails after validation
+    path = tmp_path / "never-idle.json"
+    path.write_text(json.dumps({
+        "scenario": {"on_prob": [1.0, 1.0], "coupling": 0.0},
+        "evaluation": {"methods": ["local"], "trials": 800, "training_slots": 300,
+                       "calibration_slots": 800}}))
+    config = [] if argv[0] == "gaussianity" else ["--config", str(path)]
+    out = tmp_path / "never"
+    assert main(argv + config + ["--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()

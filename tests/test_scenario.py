@@ -9,14 +9,17 @@ the tail rates a sampled campaign counts — each route vouches for the other.
 The vectorised hot paths are pinned to the loops they replaced, kept here as
 oracles: the per-slot activity step, the per-entry transition kernel, the
 masked per-node split of the exact pattern components and the per-sample
-sensing statistics.
+matched statistic.  Energy scores are drawn from their exact per-slot law,
+not per sample, so they are pinned to that law, to `sensing.energy_moments`
+and to the per-sample statistic in distribution.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfusion import rng
@@ -211,7 +214,7 @@ def _draw_activity_oracle(config, slots, gen):
 
 @st.composite
 def _walk_cases(draw):
-    p = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 8))
     coupling = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     if coupling > 0.0:
         duty = (draw(st.floats(0.0, 1.0)),) * p
@@ -225,11 +228,22 @@ def _walk_cases(draw):
     cfg = ScenarioConfig(node_count=p, coverage={c: (c,) for c in range(1, p + 1)},
                          on_prob=duty, flip=flip, coupling=coupling,
                          initial_activity=start)
-    return cfg, draw(st.integers(1, 400)), draw(st.integers(0, 2 ** 32 - 1))
+    return cfg, draw(st.integers(1, 2000)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_walk_cases())
+# every step is a common draw, so every step resets every chain
+@example((ScenarioConfig(coupling=1.0), 3000, 12345))
+# flips are rare: long stretches where every step keeps its state
+@example((ScenarioConfig(coupling=0.0, flip=1e-4), 3000, 12345))
+# both flip rates are 0.95: most steps negate the state
+@example((ScenarioConfig(coupling=0.2, flip=0.95), 3000, 12345))
+@example((ScenarioConfig(), 1, 12345))
+@example((ScenarioConfig(), 2, 12345))
+# the tree-engines workload's campaign length
+@example((tree_config(), 44548, 12345))
+@example((tree_config(), 44548, 90940))
 def test_draw_activity_matches_per_slot_walk(case):
     cfg, slots, seed = case
     got = draw_activity(cfg, slots, rng.stream(seed, rng.PU_ACTIVITY, 0))
@@ -349,15 +363,54 @@ def test_matched_mode_scores_match_analytic_moments():
         assert got.var() == pytest.approx(want_var, rel=0.08)
 
 
-@pytest.mark.parametrize("slots", [1, 700, _OBS_CHUNK])
-def test_energy_scores_equal_per_sample_statistic(slots):
+def _energy_laws(cfg, pattern):
+    """Per node, the exact law of the energy score at a pinned pattern:
+    sigma^2 / K times a noncentral chi-square with K degrees of freedom and
+    noncentrality K a^2 / sigma^2, shifted by -tau0."""
+    amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
+    k, var = cfg.sample_count, cfg.noise_var
+    return [scipy.stats.ncx2(k, k * a ** 2 / var, loc=-cfg.tau0, scale=var / k)
+            for a in amp]
+
+
+@pytest.mark.parametrize("pattern", [(0, 0), (1, 0), (1, 1)])
+def test_energy_scores_follow_exact_law(pattern):
     cfg = ScenarioConfig(rho_db=-5.0)
-    pattern = (1, 0)
-    camp = run_campaign(frozen(cfg, pattern), slots, seed=13, index=4)
+    camp = run_campaign(frozen(cfg, pattern), 20000, seed=13, index=4)
+    n = camp.gamma.shape[1]
+    for scores, law in zip(camp.gamma, _energy_laws(cfg, pattern)):
+        assert scipy.stats.kstest(scores, law.cdf).statistic < 1.95 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("pattern", [(1, 0), (1, 1)])
+def test_energy_score_moments_equal_energy_moments(pattern):
+    cfg = ScenarioConfig(rho_db=-5.0)
+    camp = run_campaign(frozen(cfg, pattern), 20000, seed=17, index=1)
+    n = camp.gamma.shape[1]
+    amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
+    laws = _energy_laws(cfg, pattern)
+    for scores, a, law in zip(camp.gamma, amp, laws):
+        mean, var = energy_moments(cfg.sample_count * a ** 2, cfg.noise_var,
+                                   cfg.sample_count, cfg.tau0)
+        np.testing.assert_allclose([float(x) for x in law.stats()], [mean, var], rtol=1e-12)
+        # the sample variance's standard error from the law's fourth moment
+        kurtosis = float(law.stats(moments="k"))
+        assert abs(scores.mean() - mean) < 4 * math.sqrt(var / n)
+        assert abs(scores.var() - var) < 4 * var * math.sqrt((kurtosis + 2) / n)
+
+
+def test_energy_scores_match_per_sample_statistic_in_law():
+    cfg = ScenarioConfig(rho_db=-5.0)
+    pattern = (1, 1)
+    camp = run_campaign(frozen(cfg, pattern), 20000, seed=13, index=4)
+    slots = 4000
     amp = link_amplitudes(cfg) @ np.array(pattern, dtype=float)
     y = gen_observations(np.repeat(amp[:, None], slots, axis=1), cfg.noise_var,
-                         cfg.sample_count, rng.stream(13, rng.OBSERVATIONS, 4))
-    np.testing.assert_array_equal(camp.gamma, llr_energy(y, cfg.tau0))
+                         cfg.sample_count, rng.stream(13, rng.OBSERVATIONS, 5))
+    per_sample = llr_energy(y, cfg.tau0)
+    n, m = camp.gamma.shape[1], slots
+    for got, want in zip(camp.gamma, per_sample):
+        assert scipy.stats.ks_2samp(got, want).statistic < 1.95 * math.sqrt((n + m) / (n * m))
 
 
 @pytest.mark.parametrize("slots", [1, 700, _OBS_CHUNK])
@@ -378,7 +431,7 @@ def test_matched_scores_match_per_sample_statistic(slots):
 
 
 def _whole_chunk_gamma(cfg, camp):
-    """Oracle: scores from one (N, chunk, K) draw per chunk."""
+    """Oracle: matched scores from one (N, chunk, K) draw per chunk."""
     obs_gen = rng.stream(camp.seed, rng.OBSERVATIONS, camp.index)
     slot_amp = link_amplitudes(cfg) @ camp.activity.T.astype(float)
     templates = nominal_templates(cfg)
@@ -389,16 +442,12 @@ def _whole_chunk_gamma(cfg, camp):
         y = obs_gen.standard_normal((cfg.node_count, stop - start, k))
         y *= np.sqrt(cfg.noise_var)
         y += slot_amp[:, start:stop, None]
-        if cfg.sensing_mode == "energy":
-            y *= y
-            gamma[:, start:stop] = np.mean(y, axis=2) - cfg.tau0
-        else:
-            gamma[:, start:stop] = (templates[:, None] * y.sum(axis=2)
-                                    - k * templates[:, None] ** 2 / 2.0)
+        gamma[:, start:stop] = (templates[:, None] * y.sum(axis=2)
+                                - k * templates[:, None] ** 2 / 2.0)
     return gamma
 
 
-@pytest.mark.parametrize("mode", ["energy", "matched"])
+@pytest.mark.parametrize("mode", ["matched"])
 def test_campaign_scores_equal_whole_chunk_draws(mode):
     cfg = ScenarioConfig(rho_db=-5.0, sensing_mode=mode)
     camp = run_campaign(cfg, 2 * _OBS_CHUNK + 300, seed=15, index=2)
