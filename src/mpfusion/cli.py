@@ -278,8 +278,9 @@ def cmd_optimize(args) -> int:
     stats = scenario.scenario_stats(scn)
     moments = scenario.moments_from_scenario(stats)
 
-    hood = optimizer.neighbourhood_designs(moments, top, scn.far, seed=cfg.seed)
-    network = optimizer.optimize_p1(moments, top, scn.far, hood, seed=cfg.seed)
+    hood = optimizer.neighbourhood_designs(moments, top, scn.far)
+    network = optimizer.optimize_p1(moments, top, scn.far, hood)
+    p2 = {"neighbourhood": hood}
 
     payload = {
         "command": "optimize",
@@ -294,8 +295,8 @@ def cmd_optimize(args) -> int:
     if args.blind:
         camp = scenario.run_campaign(scn, cfg.evaluation.calibration_slots,
                                      cfg.seed, index=1)
-        blind = optimizer.blind_adapt(camp.gamma, top, scn.far,
-                                      truth=camp.x, seed=cfg.seed)
+        blind = optimizer.blind_adapt(camp.gamma, top, scn.far, truth=camp.x)
+        p2["blind"] = blind.solutions
         payload["blind"] = {
             "label_accuracy_initial": blind.initial_accuracy,
             "label_accuracy_final": blind.final_accuracy,
@@ -304,6 +305,12 @@ def cmd_optimize(args) -> int:
         }
     out = _out_dir(args)
     _write_json(os.path.join(out, "solution.json"), payload)
+    for note in network.notes:
+        print(f"warning: network design: {note}", file=sys.stderr)
+    for kind, solutions in p2.items():
+        for j, sol in solutions.items():
+            if not sol.converged:
+                print(f"warning: {kind} design for node {j} did not converge", file=sys.stderr)
     mean_pd = float(np.mean([s.pd for s in hood.values()]))
     print(f"neighbourhood design: mean model pd = {mean_pd:.4f}")
     print(f"network design: mean model pd = {float(np.mean(network.pd)):.4f}")

@@ -10,22 +10,18 @@ same coefficients can also drive the iterated linear engine.  The network
 problem ("P1-style") tunes a full weight row per node at the same pinned
 rate, inside [-2, 2] off the unit diagonal.
 
-Both designs run one row search, `_search_rows`: cyclic coordinate ascent
-on the model Pd from every (node, start) pair in lockstep, where each scan
-prices the 21-point grids of all live pairs in one batch through
-`performance.ComponentMoments.stats_for_rows`, the single push-forward from
-linear rules to Gaussian mixtures over the nodes' components, and
-`performance.solve_thresholds`, which pins every false-alarm rate of the
-batch at once.  Each pair keeps its own ascent state, so its path is
-the one it would take alone.  `optimize_p1` runs all nodes in one search;
-`neighbourhood_designs` runs the nodes of each degree in one search, after
-pricing their coarse start grids in one batch; a node's design is the one
-its own one-node search would find.
-P1 seeds each row with that node's P2 design, which the caller passes in, so
-a cell solves every neighbourhood design once.  Every design takes one
-`ComponentMoments`: exact components from `scenario.moments_from_scenario`,
-blind ones from `blind_adapt` through the label-cell fit `_cell_moments`,
-both built by `ComponentMoments.from_cells`.
+Both designs run one row search, `_ascend_rows`: projected-gradient ascent
+on the model Pd, every row in lockstep from one start and with no seed.
+Each step prices the trials of all live rows in one batch through
+`performance.ComponentMoments._pd_gradient`: thresholds from
+`performance.solve_thresholds`, model Pd and its closed-form gradient.
+`neighbourhood_designs` runs the nodes of each degree in one ascent from
+the local detector; `optimize_p1` runs all rows in one ascent from the
+nodes' P2 designs, which the caller passes in, so a cell solves every
+neighbourhood design once.  A row's path does not depend on the batch.
+Every design takes one `ComponentMoments`: exact components from
+`scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
+label-cell fit `_cell_moments`, both built by `ComponentMoments.from_cells`.
 """
 
 from __future__ import annotations
@@ -35,15 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
 from .graph import MrfParams, Topology, _is_integer, max_degree, neighbors
-from .performance import ComponentMoments, mixture_tail, solve_thresholds
+from .performance import ComponentMoments
 
-_COARSE_POINTS = 11
-_SCAN_POINTS = 21
-_STEP_TOL = 1e-4
-_LINE_TOL = 1e-5
-_MAX_SWEEPS = 60
+_MAX_STEPS = 1000       # priced trials per row of one ascent
+_ARMIJO = 1e-4
+_GRAD_TOL = 1e-6        # projected-gradient norm of a converged row
 _UNBOUNDED_BOX = 10.0
 _P1_BOX = 2.0
 
@@ -93,15 +86,6 @@ class P2Solution:
     converged: bool
 
 
-def _price(moments: ComponentMoments, nodes, indices, coefficients, alpha: float):
-    """Mixtures of the G rules of nodes[g] with own weight one before the
-    (G, d) `coefficients` over the scores indices[g], and their thresholds
-    (G,) at false-alarm rate alpha."""
-    mix = moments.stats_for_rows(
-        nodes, indices, np.hstack((np.ones((len(coefficients), 1)), coefficients)))
-    return mix, solve_thresholds(*mix[-1], alpha)
-
-
 def stability_box(top: Topology) -> float:
     """Half-width of the open coefficient box keeping iteration stable:
     |c| below 1/(max degree - 1) keeps the linear recursion bounded on any
@@ -111,91 +95,65 @@ def stability_box(top: Topology) -> float:
     return _UNBOUNDED_BOX if d <= 1 else 1.0 / (d - 1)
 
 
-def _search_rows(moments: ComponentMoments, jobs, alpha: float, box: float) -> list:
-    """Best rows of coordinate ascent on the model Pd, every job in lockstep.
+def _ascend_rows(moments: ComponentMoments, nodes, cols, start, alpha: float,
+                 box: float):
+    """Projected-gradient ascent of the model Pd at false-alarm rate alpha
+    (Bertsekas, IEEE TAC 21(2), 1976), all rows in lockstep.
 
-    A job is (node, indices, starts): the rule of `node` weighs the score of
-    indices[0] (the node's own) with one and the d scores of indices[1:]
-    with free coefficients in [-box, box]; every job has the same d.  Each
-    (job, start) pair runs cyclic coordinate ascent.  A line search scans
-    21 points of [-box, box], then re-scans 21 points of
-    [best - step, best + step] (clipped to the box) until the grid step is
-    at most `_LINE_TOL`; a coordinate keeps its scan's best point only when
-    that is not below the pair's value (never step downhill), and a pair
-    stops after a sweep that moves no coordinate by `_STEP_TOL` (converged)
-    or after `_MAX_SWEEPS` sweeps (not converged).  Every scan prices the
-    grids of all live pairs in one batch.  Per job, the first start wins
-    ties, and the kept row is priced once at false-alarm rate alpha.
-    Returns one (coefficients, converged, tau, pf, pd, evaluations) per job.
+    Row g weighs the score of cols[g, 0] (node nodes[g]'s own) with one and
+    those of cols[g, 1:] with coefficients in [-box, box], from start[g].
+    Steps try w + t g clipped to the box (g from `_pd_gradient`), halving t
+    until the Armijo rule holds; the first t moves the largest free
+    coordinate (not held at a bound by an outward gradient) by one, later
+    ones are Barzilai-Borwein steps s.s / s.y over the free coordinates (IMA
+    J. Numer. Anal. 8, 1988), clipped to [1e-6, 1e6].  A row stops at a
+    projected gradient of at most 1e-9, a step gaining at most 1e-14, t
+    below 1e-12 or `_MAX_STEPS` trials; it converged if its projected
+    gradient is then at most `_GRAD_TOL`.  Returns points (G, d), converged,
+    thresholds, Pf, Pd and rules priced (G,).
     """
-    nodes = np.array([node for node, _, _ in jobs])
-    cols = np.array([indices for _, indices, _ in jobs], dtype=np.intp)
-    dim = cols.shape[1] - 1
-    owner = np.array([k for k, (_, _, starts) in enumerate(jobs) for _ in starts])
-    point = np.array([s for _, _, starts in jobs for s in starts],
-                     dtype=float).reshape(len(owner), dim)
-    pairs = np.arange(len(owner))
+    def price(who, points):
+        rows = np.hstack((np.ones((len(points), 1)), points))
+        tau, pf, pd, grad = moments._pd_gradient(nodes[who], cols[who], rows, alpha)
+        return tau, pf, pd, grad[:, 1:]
 
-    def pd_of(who, batch):
-        mix, tau = _price(moments, nodes[owner[who]], cols[owner[who]], batch, alpha)
-        return mixture_tail(*mix[1], tau)
+    def held(who):
+        """Coordinates of rows `who` held at a bound by an outward gradient."""
+        w, g = point[who], grad[who]
+        return ((w >= box) & (g > 0)) | ((w <= -box) & (g < 0))
 
-    value = pd_of(pairs, point)
-    evals = np.ones(len(owner), dtype=np.int64)
-    live, converged = np.full(len(owner), dim > 0), np.full(len(owner), True)
-    coord = np.zeros(len(owner), dtype=np.intp)
-    sweeps = np.zeros(len(owner), dtype=np.intp)
-    moved = np.zeros(len(owner))
-    lo, hi = np.full(len(owner), -box), np.full(len(owner), box)
-    line_best = np.full(len(owner), -np.inf)
-    before = point[:, 0].copy() if dim else np.zeros(len(owner))
-    line_arg = before.copy()
-    steps = np.arange(_SCAN_POINTS)
-    while live.any():
-        act = pairs[live]
-        rows = np.arange(act.size)[:, None]
-        grid = steps * ((hi[act] - lo[act]) / (_SCAN_POINTS - 1))[:, None] + lo[act, None]
-        grid[:, -1] = hi[act]
-        batch = np.repeat(point[act, None], _SCAN_POINTS, axis=1)
-        batch[rows, steps, coord[act, None]] = grid
-        vals = pd_of(np.repeat(act, _SCAN_POINTS), batch.reshape(-1, dim))
-        vals = vals.reshape(act.size, _SCAN_POINTS)
-        evals[act] += _SCAN_POINTS
-        k = vals.argmax(axis=1)
-        peak, at = vals[rows[:, 0], k], grid[rows[:, 0], k]
-        better = peak > line_best[act]
-        line_best[act] = np.where(better, peak, line_best[act])
-        line_arg[act] = np.where(better, at, line_arg[act])
-        step = grid[:, 1] - grid[:, 0]
-        lo[act] = np.maximum(-box, line_arg[act] - step)
-        hi[act] = np.minimum(box, line_arg[act] + step)
+    def slack(who):
+        """Infinity norm of the projected gradient of rows `who`."""
+        return np.abs(np.where(held(who), 0.0, grad[who])).max(axis=1, initial=0.0)
 
-        done = act[step <= _LINE_TOL]           # line searches that end here
-        i = coord[done]
-        uphill = line_best[done] >= value[done]
-        value[done] = np.where(uphill, line_best[done], value[done])
-        point[done, i] = np.where(uphill, line_arg[done], before[done])
-        moved[done] = np.maximum(moved[done], np.abs(point[done, i] - before[done]))
-        coord[done] += 1
-        swept = done[coord[done] == dim]
-        sweeps[swept] += 1
-        settled = moved[swept] < _STEP_TOL
-        capped = ~settled & (sweeps[swept] >= _MAX_SWEEPS)
-        live[swept[settled | capped]] = False
-        converged[swept[capped]] = False
-        coord[swept], moved[swept] = 0, 0.0
-        fresh = done[live[done]]                # start their next line search
-        before[fresh] = line_arg[fresh] = point[fresh, coord[fresh]]
-        lo[fresh], hi[fresh], line_best[fresh] = -box, box, -np.inf
-
-    # per job, the first of its pairs with the highest value
-    ends = np.cumsum([len(starts) for _, _, starts in jobs])
-    best = [a + int(np.argmax(value[a:b]))
-            for a, b in zip(np.concatenate(([0], ends[:-1])), ends)]
-    mix, tau = _price(moments, nodes, cols, point[best], alpha)
-    pf, pd = mixture_tail(*mix[-1], tau), mixture_tail(*mix[1], tau)
-    return [(point[p], bool(converged[p]), float(tau[k]), float(pf[k]), float(pd[k]),
-             int(evals[owner == k].sum())) for k, p in enumerate(best)]
+    every = np.arange(len(nodes))
+    point = np.array(start, dtype=float)
+    tau, pf, pd, grad = price(every, point)
+    evals = np.ones(len(nodes), dtype=np.int64)
+    live = slack(every) > 1e-9
+    step = np.clip(1.0 / np.maximum(slack(every), 1e-6), 1e-6, 1e6)
+    for _ in range(_MAX_STEPS):
+        act = every[live]
+        if not act.size:
+            break
+        trial = np.clip(point[act] + step[act, None] * grad[act], -box, box)
+        priced = price(act, trial)
+        evals[act] += 1
+        move = trial - point[act]
+        gain = priced[2] - pd[act]
+        ok = gain >= _ARMIJO * (grad[act] * move).sum(axis=1)
+        acc, rej = act[ok], act[~ok]
+        s, y = move[ok], grad[acc] - priced[3][ok]
+        point[acc] = trial[ok]
+        tau[acc], pf[acc], pd[acc], grad[acc] = (a[ok] for a in priced)
+        free = ~held(acc)
+        ss, sy = (s * s * free).sum(axis=1), (s * y * free).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step[acc] = np.clip(np.where(sy > 0, ss / sy, 1e6), 1e-6, 1e6)
+        live[acc] = (gain[ok] > 1e-14) & (slack(acc) > 1e-9)
+        step[rej] *= 0.5
+        live[rej] = step[rej] >= 1e-12
+    return point, slack(every) <= _GRAD_TOL, tau, pf, pd, evals
 
 
 def _check_alpha(alpha: float) -> None:
@@ -204,51 +162,30 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _neighbourhood_group(moments: ComponentMoments, top: Topology, group,
-                         alpha: float, seed: int | None) -> dict:
+                         alpha: float) -> dict:
     """Neighbourhood designs of the nodes of `group`, which share a degree,
-    from one lockstep search from the origin and a coarse grid or seeded
-    random starts, so none is worse than the local detector; node ->
-    P2Solution."""
-    dim = len(neighbors(top, group[0]))
+    from one lockstep ascent started at the local detector (all neighbour
+    coefficients zero), so none is worse than it; node -> P2Solution."""
     box = stability_box(top) * (1.0 - 1e-9)
     cols = np.array([[j] + list(neighbors(top, j)) for j in group], dtype=np.intp)
-
-    starts, grid_evals = {j: [np.zeros(dim)] for j in group}, 0
-    if 0 < dim <= 2:
-        axes = np.linspace(-box, box, _COARSE_POINTS)
-        mesh = np.meshgrid(*([axes] * dim), indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
-        mix, tau = _price(moments, np.repeat(group, len(grid)),
-                          np.repeat(cols, len(grid), axis=0),
-                          np.tile(grid, (len(group), 1)), alpha)
-        pd = mixture_tail(*mix[1], tau).reshape(len(group), len(grid))
-        for j, row in zip(group, pd):
-            starts[j].append(grid[int(np.argmax(row))])
-        grid_evals = len(grid)
-    elif dim > 2:
-        for j in group:
-            gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, j)
-            starts[j] += [gen.uniform(-box, box, size=dim) for _ in range(8)]
-
-    found = _search_rows(moments, [(j, c, starts[j]) for j, c in zip(group, cols)],
-                         alpha, box)
-    return {j: P2Solution(j, dict(zip(c[1:].tolist(), (float(x) for x in point))),
-                          tau, pd, alpha, grid_evals + evals, converged)
-            for j, c, (point, converged, tau, _, pd, evals) in zip(group, cols, found)}
+    found = _ascend_rows(moments, np.array(group), cols,
+                         np.zeros((len(group), cols.shape[1] - 1)), alpha, box)
+    return {j: P2Solution(j, dict(zip(c[1:].tolist(), map(float, point))),
+                          float(tau), float(pd), alpha, int(evals), bool(converged))
+            for j, c, point, converged, tau, _, pd, evals in zip(group, cols, *found)}
 
 
-def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float,
-                          seed: int | None = None) -> dict:
+def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float) -> dict:
     """Node -> neighbourhood (P2) design for every node of `top`, each on
     its own components in `moments`.  Nodes of equal degree share one
-    lockstep search; each design equals the node's own one-node search."""
+    lockstep ascent; each design equals the node's own one-node ascent."""
     _check_alpha(alpha)
     groups = {}
     for j in top.nodes:
         groups.setdefault(len(neighbors(top, j)), []).append(j)
     found = {}
     for group in groups.values():
-        found.update(_neighbourhood_group(moments, top, group, alpha, seed))
+        found.update(_neighbourhood_group(moments, top, group, alpha))
     return {j: found[j] for j in top.nodes}
 
 
@@ -266,20 +203,18 @@ class P1Solution:
 
 
 def optimize_p1(moments: ComponentMoments, top: Topology, alpha: float,
-                neighbourhood: dict, seed: int | None = None) -> P1Solution:
-    """Best-effort network design: per-row detection maximization.
+                neighbourhood: dict) -> P1Solution:
+    """Network design: per-row detection maximization.
 
     Each node's row (own weight one, all other entries free in [-2, 2]) is
     tuned to maximize detection at false-alarm rate alpha; all rows run in
-    one lockstep search.  `neighbourhood` maps every node to its
-    neighbourhood design at that alpha; rows are seeded with it
+    one lockstep ascent.  `neighbourhood` maps every node to its
+    neighbourhood design at that alpha; each row starts from it
     zero-extended, so the result is never worse than that design under the
-    same statistics.  Rows whose kept ascent stopped at the sweep cap before
-    converging are named in `notes`.
+    same statistics.  Rows that stop without converging are named in
+    `notes`.
     """
     _check_alpha(alpha)
-    n = top.node_count
-    jobs = []
     for j in top.nodes:
         hood = neighbourhood.get(j)
         if hood is None:
@@ -288,27 +223,16 @@ def optimize_p1(moments: ComponentMoments, top: Topology, alpha: float,
             raise ValueError(
                 f"neighbourhood design for node {j} is for node {hood.node} at "
                 f"false-alarm rate {hood.pf_target}, not node {j} at {alpha}")
-        others = [i for i in top.nodes if i != j]
-        gen = rng.stream(0 if seed is None else seed, rng.OPTIMIZER, 100 + j)
-        jobs.append((j, [j] + others, [
-            np.zeros(n - 1),
-            np.array([hood.coefficients.get(i, 0.0) for i in others]),
-            np.clip(gen.normal(scale=0.3, size=n - 1), -_P1_BOX, _P1_BOX)]))
-    found = _search_rows(moments, jobs, alpha, _P1_BOX)
-
-    weight_matrix = np.eye(n)
-    thresholds, pf, pd = np.zeros(n), np.zeros(n), np.zeros(n)
-    capped = []
-    for (j, cols, _), (row, converged, tau, pf_j, pd_j, _) in zip(jobs, found):
-        weight_matrix[j - 1, np.array(cols[1:], dtype=int) - 1] = row
-        thresholds[j - 1], pf[j - 1], pd[j - 1] = tau, pf_j, pd_j
-        if not converged:
-            capped.append(j)
-
-    notes = ()
-    if capped:
-        notes = (f"coordinate ascent hit the {_MAX_SWEEPS}-sweep cap before "
-                 f"converging for nodes {', '.join(map(str, capped))}",)
+    cols = np.array([[j] + [i for i in top.nodes if i != j] for j in top.nodes])
+    start = [[neighbourhood[j].coefficients.get(i, 0.0) for i in cols[j - 1, 1:].tolist()]
+             for j in top.nodes]
+    rows, converged, thresholds, pf, pd, _ = _ascend_rows(
+        moments, np.array(top.nodes), cols, start, alpha, _P1_BOX)
+    weight_matrix = np.eye(top.node_count)
+    weight_matrix[cols[:, :1] - 1, cols[:, 1:] - 1] = rows
+    stuck = [str(j) for j, ok in zip(top.nodes, converged) if not ok]
+    notes = (f"gradient ascent stopped with a projected gradient above {_GRAD_TOL:g} "
+             f"for nodes {', '.join(stuck)}",) if stuck else ()
     return P1Solution(weight_matrix, thresholds, pf, pd, notes)
 
 
@@ -419,7 +343,7 @@ def _blind_moments(g: np.ndarray, labels: np.ndarray, top: Topology,
 
 
 def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
-                min_cell: int = 5, truth=None, seed: int | None = None) -> BlindResult:
+                min_cell: int = 5, truth=None) -> BlindResult:
     """Label, cross-correct, estimate, and re-optimize without ground truth.
 
     Round zero labels each node by the sign of its own score.  Each of the
@@ -451,5 +375,5 @@ def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
     final_acc = None if truth is None else float(np.mean(labels == truth))
 
     moments, folded = _blind_moments(g, labels, top, min_cell)
-    solutions = neighbourhood_designs(moments, top, alpha, seed=seed)
+    solutions = neighbourhood_designs(moments, top, alpha)
     return BlindResult(labels, moments, solutions, folded, init_acc, final_acc)

@@ -10,7 +10,9 @@ for the exact and the blind components alike.
 `ComponentMoments.stats_for_rows` is the single push-forward from a batch
 of linear rules to their component means and stds; one batch can mix rules
 of different nodes.  `ComponentMoments.stats_for_row` is its one-row case,
-giving a `ConditionalStats` of the node's own components.
+giving a `ConditionalStats` of the node's own components, and
+`ComponentMoments._pd_gradient` adds the gradient of the model Pd at a
+pinned false-alarm rate, which the linear designs climb.
 The false-alarm / detection probabilities are then mixtures of Q-tails
 (`mixture_tail`).  Thresholds come from inverting that curve with one
 solver, `solve_thresholds`: a safeguarded Newton iteration on a batch of
@@ -132,16 +134,9 @@ class ComponentMoments:
                     fields[k][v][b, :len(split[j, v][k])] = split[j, v][k]
         return cls(np.array(nodes), *fields)
 
-    def stats_for_rows(self, nodes, indices, rows) -> dict:
-        """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[g, i]}
-        under the components of node nodes[g].
-
-        `rows` is (G, d), `nodes` (G,), and `indices` (G, d) or one (d,)
-        list for every row.  Returns, for v in {-1, +1}, (weights (G, M),
-        means (G, M), stds (G, M)).  Each entry is a product summed along
-        its own row, so row g does not depend on the other rows of the batch.
-        Raises when a node of `nodes` has no components here.
-        """
+    def _rules(self, nodes, indices, rows):
+        """`rows` as (G, d) floats and, for v in {-1, +1}, `stats_for_rows`'
+        mixtures followed by the score means and variances (G, d, M) used."""
         r = np.atleast_2d(np.asarray(rows, dtype=float))
         if r.shape[1] == 0:
             raise ValueError("a rule needs at least one score")
@@ -167,8 +162,42 @@ class ComponentMoments:
             for k in range(1, r.shape[1]):
                 mean = mean + r[:, k:k + 1] * m[:, k]
                 var = var + r[:, k:k + 1] * r[:, k:k + 1] * s2[:, k]
-            out[v] = (self.weights[v][at], mean, np.sqrt(var))
-        return out
+            out[v] = (self.weights[v][at], mean, np.sqrt(var), m, s2)
+        return r, out
+
+    def stats_for_rows(self, nodes, indices, rows) -> dict:
+        """Mixtures of the G rules sum_i rows[g, i] gamma_{indices[g, i]}
+        under the components of node nodes[g].
+
+        `rows` is (G, d), `nodes` (G,), and `indices` (G, d) or one (d,)
+        list for every row.  Returns, for v in {-1, +1}, (weights (G, M),
+        means (G, M), stds (G, M)).  Each entry is a product summed along
+        its own row, so row g does not depend on the other rows of the batch.
+        Raises when a node of `nodes` has no components here.
+        """
+        return {v: rule[:3] for v, rule in self._rules(nodes, indices, rows)[1].items()}
+
+    def _pd_gradient(self, nodes, indices, rows, alpha: float):
+        """Thresholds at false-alarm rate alpha, false-alarm and detection
+        probabilities (G,) of the rules of `stats_for_rows`, and the gradient
+        (G, d) of the detection probability in the weights at that rate.
+
+        With z_m = (tau - mean_m) / std_m and f_m = weight_m phi(z_m) / std_m,
+        the tail G_v of hypothesis v has dG_v/dw_i = sum_m f_m (mu_mi +
+        z_m w_i s2_mi / std_m) and dG_v/dtau = -sum_m f_m; tau keeps
+        G_{-1} = alpha, so dPd/dw = dG_1/dw - (dG_1/dtau / dG_{-1}/dtau)
+        dG_{-1}/dw.  Row g does not depend on the other rows of the batch.
+        """
+        r, rules = self._rules(nodes, indices, rows)
+        tau = solve_thresholds(*rules[-1][:3], alpha)
+        tail, slope, grad = {}, {}, {}
+        for v, (w, mean, std, m, s2) in rules.items():
+            z = (tau[:, None] - mean) / std
+            f = np.exp(-0.5 * z * z) / std * w * _INV_SQRT_2PI
+            tail[v], slope[v] = (q_function(z) * w).sum(axis=1), f.sum(axis=1)
+            grad[v] = ((f[:, None] * m).sum(axis=2)
+                       + r * (f[:, None] * (z / std)[:, None] * s2).sum(axis=2))
+        return tau, tail[-1], tail[1], grad[1] - (slope[1] / slope[-1])[:, None] * grad[-1]
 
     def stats_for_row(self, node: int, indices, row_weights) -> ConditionalStats:
         """Gaussian mixture of sum_i w_i gamma_i under node's own components

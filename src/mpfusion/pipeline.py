@@ -15,7 +15,7 @@ Preset labels:
     egc{c0}      linearized engine, one common coefficient c0
     linProp      one-hop linear fusion, coefficients tuned per node
     linPropB     same design run blind (labels, moments, tuning without truth)
-    linOpt       full linear row per node, network design seeded with linProp
+    linOpt       full linear row per node, network design started from linProp
 
 Every preset but mp and bp is linear in the scores, so it is fully
 described by its weight matrix W: its decision variables are W gamma, and
@@ -152,7 +152,7 @@ class _Cell:
     def neighbourhood_designs(self) -> dict:
         """Node -> neighbourhood (P2) design on the exact moments."""
         return optimizer.neighbourhood_designs(self.pattern_moments, self.top,
-                                               self.cfg.far, seed=self.seed)
+                                               self.cfg.far)
 
     # -- calibration --------------------------------------------------------
 
@@ -232,7 +232,7 @@ def _linear_rule(cell: _Cell, spec: MethodSpec):
                  **_search_extras(solutions)})
     if spec.kind == "linPropB":
         blind = optimizer.blind_adapt(cell.calib.gamma, top, cell.cfg.far,
-                                      truth=cell.calib.x, seed=cell.seed)
+                                      truth=cell.calib.x)
         # deployment thresholds: exact mixture for the blind-chosen weights
         return (_row_matrix(top, blind.solutions), None,
                 {"coefficients": {j: blind.solutions[j].coefficients for j in top.nodes},
@@ -243,7 +243,7 @@ def _linear_rule(cell: _Cell, spec: MethodSpec):
                  **_search_extras(blind.solutions)})
     if spec.kind == "linOpt":
         sol = optimizer.optimize_p1(cell.pattern_moments, top, cell.cfg.far,
-                                    cell.neighbourhood_designs, seed=cell.seed)
+                                    cell.neighbourhood_designs)
         return sol.weights, sol.thresholds, {"weights": sol.weights.tolist(),
                                              "model_pd": sol.pd.tolist(),
                                              "notes": list(sol.notes)}

@@ -25,7 +25,6 @@ PU_ACTIVITY = 1
 OBSERVATIONS = 2
 PROBES = 3
 COUPLING_DRAW = 4
-OPTIMIZER = 5
 GENERIC = 6
 
 

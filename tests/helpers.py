@@ -48,11 +48,11 @@ def frozen(config: ScenarioConfig, pattern) -> ScenarioConfig:
 
 
 def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
-                alpha: float, seed=None) -> P2Solution:
+                alpha: float) -> P2Solution:
     """One node's neighbourhood design at a pinned false-alarm rate, on that
-    node's components in `moments`: the one-node lockstep search."""
+    node's components in `moments`: the one-node lockstep ascent."""
     _check_alpha(alpha)
-    return _neighbourhood_group(moments, top, [node], alpha, seed)[node]
+    return _neighbourhood_group(moments, top, [node], alpha)[node]
 
 
 def mrc_probe(instance: QuadraticInstance, k: int, j: int, energy_sweep):

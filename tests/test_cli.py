@@ -6,6 +6,7 @@ import json
 import pytest
 
 from mpfusion import config as config_mod
+from mpfusion import optimizer
 from mpfusion.cli import build_parser, main
 
 
@@ -167,6 +168,30 @@ def test_optimize_blind_flag_adds_block(tmp_path):
     assert 0.0 <= blind["label_accuracy_final"] <= 1.0
     assert set(blind["solutions"]) == {"1", "2", "3", "4", "5"}
     assert set(blind["folded_cells"]) == {"1", "2", "3", "4", "5"}
+
+
+def test_optimize_warns_of_unconverged_designs(tmp_path, capsys, monkeypatch):
+    # one trial per row leaves the designs short of a stationary point
+    monkeypatch.setattr(optimizer, "_MAX_STEPS", 1)
+    cfg = _fast_config(tmp_path, calibration_slots=1500)
+    out = tmp_path / "optw"
+    rc = main(["optimize", "--config", cfg, "--out", str(out), "--blind"])
+    assert rc == 0
+    doc = _read_json(out / "solution.json")
+    warned = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: ") for line in warned)
+    for kind, solutions in (("neighbourhood", doc["neighbourhood"]),
+                            ("blind", doc["blind"]["solutions"])):
+        unconverged = [j for j, sol in solutions.items() if not sol["converged"]]
+        assert unconverged
+        for j in unconverged:
+            assert f"warning: {kind} design for node {j} did not converge" in warned
+    assert doc["network"]["notes"]
+    for note in doc["network"]["notes"]:
+        assert f"warning: network design: {note}" in warned
+    assert len(warned) == len(doc["network"]["notes"]) + sum(
+        not sol["converged"] for sol in (*doc["neighbourhood"].values(),
+                                         *doc["blind"]["solutions"].values()))
 
 
 def test_bad_config_is_a_clean_error(tmp_path, capsys):

@@ -272,7 +272,7 @@ def test_lin_presets_share_one_neighbourhood_design_per_node(monkeypatch):
 
 
 def test_design_presets_report_their_search(monkeypatch):
-    monkeypatch.setattr(optimizer, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(optimizer, "_MAX_STEPS", 1)
     cfg = _small_cfg()
     prop, blind, opt = evaluate_cell(cfg, ["linProp", "linPropB", "linOpt"], seed=27,
                                      training_slots=300, calibration_slots=500,
@@ -283,7 +283,7 @@ def test_design_presets_report_their_search(monkeypatch):
         assert all(res.extras["evaluations"][j] > 0 for j in nodes)
     assert set(blind.extras["folded_cells"]) == nodes
     assert all(count >= 0 for count in blind.extras["folded_cells"].values())
-    assert any("1-sweep cap" in note for note in opt.extras["notes"])
+    assert any("projected gradient above 1e-06" in note for note in opt.extras["notes"])
 
 
 # ------------------------------------------------------------------ sweeps

@@ -10,7 +10,8 @@ exercised by one `stats_for_row` call on exact components after the cell,
 which each must count exactly once.  The check runs in a subprocess because
 instrumenting patches the library's classes for the rest of the process.
 
-A second check keeps test-only entry points out of the library: every
+A second check keeps `scipy.optimize` out of a design run.  A third keeps
+test-only entry points out of the library: every
 top-level public function and class of `src/mpfusion` must be loaded
 somewhere in the library or the harness, outside its own definition.
 Builders and oracles that only the tests call belong in `tests/helpers.py`.
@@ -52,6 +53,27 @@ def test_benchmark_tracer_instruments_the_library():
     assert (int(builds), int(evals)) == (1, 1)
     assert {"pipeline.evaluate_cell", "scenario.run_campaign",
             "discrete.run_messages"} <= set(names)
+
+
+_DESIGN_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from mpfusion import pipeline
+from mpfusion.scenario import ScenarioConfig
+pipeline.evaluate_cell(ScenarioConfig(), ["linProp", "linPropB", "linOpt"], 5,
+                       training_slots=60, calibration_slots=500, eval_slots=60)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_designs_leave_scipy_optimize_unloaded():
+    # the design ascent is numpy-only: loading scipy.optimize would cost
+    # every run its import time and memory
+    done = subprocess.run(
+        [sys.executable, "-c", _DESIGN_SCRIPT.format(src=os.path.join(ROOT, "src"))],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def _public_api_without_callers() -> list:
