@@ -48,17 +48,48 @@ _ALGORITHMS = (MAX_PRODUCT, SUM_PRODUCT, LINEARIZED)
 
 DirectedEdge = Tuple[int, int]
 
+# s_transfer switches form where min(|a|, |b|) exceeds this: e^{-708.4} is
+# the smallest normal double, so e^{-|a|} + e^{-|b|} stays normal below it
+_BIG = 700.0
+
 
 def s_transfer(a, b):
-    """S(a, b) = ln((1 + e^{a+b}) / (e^a + e^b)), computed stably.
+    """S(a, b) = ln((1 + e^{a+b}) / (e^a + e^b)) = 2 artanh(tanh(a/2) tanh(b/2)).
 
-    Antisymmetric-free facts used all over the tests: S(a, 0) = S(0, b) = 0,
-    S is symmetric in its arguments, |S(a, b)| <= min(|a|, |b|), and
-    dS/db at b = 0 equals tanh(a/2).
+    Facts the tests lean on: S(a, 0) = S(0, b) = 0, S is symmetric and odd
+    in each argument, |S(a, b)| <= min(|a|, |b|), and dS/db at b = 0 equals
+    tanh(a/2).  With x = e^{-|a|} and y = e^{-|b|} the magnitude is
+    ln((1 + xy) / (x + y)) = log1p(expm1(-|a|) expm1(-|b|) / (x + y)), which
+    subtracts nothing, so it keeps full relative accuracy for small messages
+    (the difference of two log-sum-exps cancels there); the sign is
+    sgn(a) sgn(b), taken from the sign bits, never from the product a b,
+    which can underflow.  Where both |a| and |b| exceed `_BIG` the
+    denominator x + y would underflow, and the magnitude is
+    min + log1p(e^{-(|a|+|b|)}) - log1p(e^{-||a|-|b||}) instead.  A scalar
+    pair gives a float; arrays broadcast.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    if a.size > b.size:         # S is symmetric: work the larger one in place
+        a, b = b, a
+    na = -np.abs(a)
+    out = np.abs(b, out=np.empty(np.broadcast_shapes(a.shape, b.shape)))
+    np.negative(out, out=out)
+    den = np.exp(out)
+    den += np.exp(na)
+    np.expm1(out, out=out)
+    out *= np.expm1(na)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= den
+    np.log1p(out, out=out)
+    big = na < -_BIG
+    if big.any():
+        big = big & (np.abs(b) > _BIG)
+        x, y = (np.broadcast_to(np.abs(v), out.shape)[big] for v in (a, b))
+        out[big] = (np.minimum(x, y) + np.log1p(np.exp(-(x + y)))
+                    - np.log1p(np.exp(-np.abs(x - y))))
+    np.copysign(out, b, out=out)
+    out *= np.copysign(1.0, a)
     return float(out) if out.ndim == 0 else out
 
 

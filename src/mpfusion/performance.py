@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as _sp
 
-from .sensing import q_function
+from .sensing import q_function, q_inverse
 
 _THRESHOLD_TOL = 1e-9
 _MAX_NEWTON = 100
@@ -265,7 +264,7 @@ def solve_thresholds(weights, means, stds, target: float,
 
     mu = (m * w).sum(axis=1)
     sd = np.sqrt((w * (s * s + (m - mu[:, None]) ** 2)).sum(axis=1))
-    tau = np.clip(mu - sd * _sp.ndtri(target), lo, hi)
+    tau = np.clip(mu + sd * q_inverse(target), lo, hi)
     # the unsettled rows `act`, with their iterates t and their own copies
     # of lo, hi, m, s and w
     act, t = np.arange(len(tau)), tau.copy()

@@ -10,6 +10,7 @@ max-marginal (max-product) and marginal (sum-product) log-ratios exactly.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,37 @@ def test_s_transfer_saturates_to_coupling():
     # huge upstream statistic: the transfer passes on +-a
     assert s_transfer(0.8, 50.0) == pytest.approx(0.8, abs=1e-12)
     assert s_transfer(0.8, -50.0) == pytest.approx(-0.8, abs=1e-12)
+
+
+_S_GRID = sorted({s * v for s in (1.0, -1.0)
+                  for v in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0, 40.0,
+                            700.0, 750.0, 1e4)})
+
+
+def _s_reference(a, b):
+    """The definition ln((1 + e^{a+b}) / (e^a + e^b)) at 80 working digits:
+    small arguments cancel at most 25 of them, leaving 40 or more."""
+    with mpmath.workdps(80):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return mpmath.log((1 + mpmath.exp(a + b)) / (mpmath.exp(a) + mpmath.exp(b)))
+
+
+def test_s_transfer_against_40_digit_reference():
+    # within 4 ulp of the exact value everywhere: tiny messages, where a
+    # difference of log-sum-exps cancels, and huge ones, where e^-|a| + e^-|b|
+    # underflows, included
+    ulp = np.finfo(float).eps
+    grid = np.array(_S_GRID)
+    table = s_transfer(grid[:, None], grid[None, :])
+    assert table.shape == (grid.size, grid.size) and np.isfinite(table).all()
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            got = s_transfer(a, b)
+            assert type(got) is float
+            ref = _s_reference(a, b)
+            assert abs(got - ref) <= 4 * ulp * abs(ref), (a, b, got)
+            assert abs(table[i, j] - ref) <= 4 * ulp * abs(ref), (a, b, table[i, j])
+    np.testing.assert_array_equal(s_transfer(grid, 750.0), s_transfer(750.0, grid))
 
 
 def test_coefficient_is_slope_at_zero():

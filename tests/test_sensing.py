@@ -1,12 +1,14 @@
 """Local sensing statistics.
 
 Moment formulas are checked against Monte Carlo estimates (3-sigma bands)
-and the tail functions against `math.erfc` evaluated point by point, so the
-oracles share no code with the implementation.
+and the tail functions against `math.erfc` evaluated point by point and
+against 40-digit mpmath references, so the oracles share no code with the
+implementation.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +47,50 @@ def test_q_inverse_rejects_boundary():
         q_inverse(0.0)
     with pytest.raises(ValueError):
         q_inverse(1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), [0.5, float("nan")], -0.1, [0.2, 1.5]])
+def test_q_inverse_rejects_points_outside_the_open_interval(bad):
+    with pytest.raises(ValueError):
+        q_inverse(bad)
+
+
+def test_q_function_is_the_c_library_erfc_bit_for_bit():
+    t = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, -0.0, 1e-300, 38.5]])
+    want = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in t])
+    np.testing.assert_array_equal(q_function(t), want)
+    np.testing.assert_array_equal(q_function(t.reshape(5, -1)), want.reshape(5, -1))
+    one = q_function(1.5)
+    assert type(one) is np.float64 and one == 0.5 * math.erfc(1.5 / math.sqrt(2.0))
+    for empty in (np.empty(0), np.empty((0, 3))):
+        out = q_function(empty)
+        assert out.dtype == np.float64 and out.shape == empty.shape
+
+
+def _q_inverse_40_digits(p, start):
+    """Root of Q(x) = p: Newton steps on mpmath's erfc at 40 digits from
+    `start` (the root, not the start, sets the result)."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        x = mpmath.mpf(start)
+        for _ in range(20):
+            tail = mpmath.erfc(x / mpmath.sqrt(2)) / 2
+            step = (tail - p) / mpmath.npdf(x)
+            x += step
+            if abs(step) <= mpmath.mpf(10) ** -38 * max(abs(x), 1):
+                return x
+    raise AssertionError(f"reference did not converge at p={p}")
+
+
+def test_q_inverse_against_40_digit_reference():
+    p = np.concatenate([np.logspace(-300, -1, 60), np.linspace(0.02, 0.98, 25),
+                        1.0 - np.logspace(-12, -1, 15), [0.5]])
+    got = q_inverse(p)
+    for pi, gi in zip(p, got):
+        ref = _q_inverse_40_digits(pi, gi)
+        assert abs(gi - ref) <= 1e-15 * abs(ref), (pi, gi)
+        assert q_inverse(pi) == gi
+    assert type(q_inverse(0.25)) is float
 
 
 def test_energy_threshold_pins_standalone_far():

@@ -10,8 +10,10 @@ exercised by one `stats_for_row` call on exact components after the cell,
 which each must count exactly once.  The check runs in a subprocess because
 instrumenting patches the library's classes for the rest of the process.
 
-A second check keeps `scipy.optimize` out of a design run.  A third keeps
-test-only entry points out of the library: every
+A second check keeps `scipy.optimize` out of a design run, and a third keeps
+scipy out of the library altogether: the package, its CLI module and a cell
+of each workload's kind must run without loading any `scipy` module.  A
+fourth keeps test-only entry points out of the library: every
 top-level public function and class of `src/mpfusion` must be loaded
 somewhere in the library or the harness, outside its own definition.
 Builders and oracles that only the tests call belong in `tests/helpers.py`.
@@ -74,6 +76,33 @@ def test_designs_leave_scipy_optimize_unloaded():
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import mpfusion, mpfusion.cli
+from mpfusion import pipeline
+from mpfusion.scenario import ScenarioConfig
+pipeline.evaluate_cell(ScenarioConfig(), ["local", "bp0.3", "linProp", "linOpt"], 5,
+                       training_slots=60, calibration_slots=500, eval_slots=60)
+tree = ScenarioConfig(node_count=7, edges=tuple((i // 2, i) for i in range(2, 8)),
+                      coverage={{p: (p, 2 * p, 2 * p + 1) for p in (1, 2, 3)}},
+                      on_prob=(0.5,) * 3, sensing_mode="matched", rho_db=-16.0)
+pipeline.evaluate_cell(tree, ["local", "mp1.0", "bp1.0", "linear0.3"], 5,
+                       training_slots=60, calibration_slots=500, eval_slots=60)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_library_runs_without_scipy():
+    # the Gaussian tails come from the standard library: importing
+    # scipy.special alone would cost every process start about 25 MB
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT.format(src=os.path.join(ROOT, "src"))],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _public_api_without_callers() -> list:
