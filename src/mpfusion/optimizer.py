@@ -15,10 +15,12 @@ on the model Pd, every row in lockstep from one start and with no seed.
 Each step prices the trials of all live rows in one batch through
 `performance.ComponentMoments._pd_gradient`: thresholds from
 `performance.solve_thresholds`, model Pd and its closed-form gradient.
-`neighbourhood_designs` runs the nodes of each degree in one ascent from
-the local detector; `optimize_p1` runs all rows in one ascent from the
-nodes' P2 designs, which the caller passes in, so a cell solves every
-neighbourhood design once.  A row's path does not depend on the batch.
+A row stops once a step gains or promises no more than Pd can resolve.
+`neighbourhood_designs` runs every node in one ascent from the local
+detector, each row padded to the largest degree with pinned zeros;
+`optimize_p1` runs all rows in one ascent from the nodes' P2 designs, which
+the caller passes in, so a cell solves every neighbourhood design once.  A
+row's path does not depend on the batch.
 Every design takes one `ComponentMoments`: exact components from
 `scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
 label-cell fit `_cell_moments`, both built by `ComponentMoments.from_cells`.
@@ -35,6 +37,7 @@ from .graph import MrfParams, Topology, _is_integer, max_degree, neighbors
 from .performance import ComponentMoments
 
 _MAX_STEPS = 1000       # priced trials per row of one ascent
+_PD_RESOLUTION = 1e-14  # a step that gains or promises no more Pd ends its row
 _ARMIJO = 1e-4
 _GRAD_TOL = 1e-6        # projected-gradient norm of a converged row
 _UNBOUNDED_BOX = 10.0
@@ -96,20 +99,24 @@ def stability_box(top: Topology) -> float:
 
 
 def _ascend_rows(moments: ComponentMoments, nodes, cols, start, alpha: float,
-                 box: float):
+                 box):
     """Projected-gradient ascent of the model Pd at false-alarm rate alpha
     (Bertsekas, IEEE TAC 21(2), 1976), all rows in lockstep.
 
     Row g weighs the score of cols[g, 0] (node nodes[g]'s own) with one and
-    those of cols[g, 1:] with coefficients in [-box, box], from start[g].
-    Steps try w + t g clipped to the box (g from `_pd_gradient`), halving t
-    until the Armijo rule holds; the first t moves the largest free
-    coordinate (not held at a bound by an outward gradient) by one, later
-    ones are Barzilai-Borwein steps s.s / s.y over the free coordinates (IMA
-    J. Numer. Anal. 8, 1988), clipped to [1e-6, 1e6].  A row stops at a
-    projected gradient of at most 1e-9, a step gaining at most 1e-14, t
-    below 1e-12 or `_MAX_STEPS` trials; it converged if its projected
-    gradient is then at most `_GRAD_TOL`.  Returns points (G, d), converged,
+    those of cols[g, 1:] with coefficients in [-box, box], from start[g];
+    `box` broadcasts to (G, d), and a coordinate with a box of 0 is pinned
+    at 0.  Steps try w + t g clipped to the box (g from `_pd_gradient`),
+    halving t until the Armijo rule holds; the first t moves the largest
+    free coordinate (not held at a bound by an outward gradient) by one,
+    later ones are Barzilai-Borwein steps s.s / s.y over the free
+    coordinates (IMA J. Numer. Anal. 8, 1988), clipped to [1e-6, 1e6].  A
+    row stops at a projected gradient of at most 1e-9, once a step's gain
+    is at most `_PD_RESOLUTION` (the Pd an accepted step realised, or the
+    g . (trial - w) a rejected one promised: a rejection halves t, so that
+    bound shrinks too), or after `_MAX_STEPS` trials; it converged if its
+    projected gradient is then at most `_GRAD_TOL`.  A rejected trial
+    leaves its row where it was.  Returns points (G, d), converged,
     thresholds, Pf, Pd and rules priced (G,).
     """
     def price(who, points):
@@ -119,8 +126,8 @@ def _ascend_rows(moments: ComponentMoments, nodes, cols, start, alpha: float,
 
     def held(who):
         """Coordinates of rows `who` held at a bound by an outward gradient."""
-        w, g = point[who], grad[who]
-        return ((w >= box) & (g > 0)) | ((w <= -box) & (g < 0))
+        w, g, b = point[who], grad[who], box[who]
+        return ((w >= b) & (g > 0)) | ((w <= -b) & (g < 0))
 
     def slack(who):
         """Infinity norm of the projected gradient of rows `who`."""
@@ -128,6 +135,7 @@ def _ascend_rows(moments: ComponentMoments, nodes, cols, start, alpha: float,
 
     every = np.arange(len(nodes))
     point = np.array(start, dtype=float)
+    box = np.broadcast_to(box, point.shape)
     tau, pf, pd, grad = price(every, point)
     evals = np.ones(len(nodes), dtype=np.int64)
     live = slack(every) > 1e-9
@@ -136,12 +144,13 @@ def _ascend_rows(moments: ComponentMoments, nodes, cols, start, alpha: float,
         act = every[live]
         if not act.size:
             break
-        trial = np.clip(point[act] + step[act, None] * grad[act], -box, box)
+        trial = np.clip(point[act] + step[act, None] * grad[act], -box[act], box[act])
         priced = price(act, trial)
         evals[act] += 1
         move = trial - point[act]
         gain = priced[2] - pd[act]
-        ok = gain >= _ARMIJO * (grad[act] * move).sum(axis=1)
+        promised = (grad[act] * move).sum(axis=1)
+        ok = gain >= _ARMIJO * promised
         acc, rej = act[ok], act[~ok]
         s, y = move[ok], grad[acc] - priced[3][ok]
         point[acc] = trial[ok]
@@ -150,9 +159,9 @@ def _ascend_rows(moments: ComponentMoments, nodes, cols, start, alpha: float,
         ss, sy = (s * s * free).sum(axis=1), (s * y * free).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             step[acc] = np.clip(np.where(sy > 0, ss / sy, 1e6), 1e-6, 1e6)
-        live[acc] = (gain[ok] > 1e-14) & (slack(acc) > 1e-9)
+        live[acc] = (gain[ok] > _PD_RESOLUTION) & (slack(acc) > 1e-9)
         step[rej] *= 0.5
-        live[rej] = step[rej] >= 1e-12
+        live[rej] = promised[~ok] > _PD_RESOLUTION
     return point, slack(every) <= _GRAD_TOL, tau, pf, pd, evals
 
 
@@ -161,32 +170,26 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def _neighbourhood_group(moments: ComponentMoments, top: Topology, group,
-                         alpha: float) -> dict:
-    """Neighbourhood designs of the nodes of `group`, which share a degree,
-    from one lockstep ascent started at the local detector (all neighbour
-    coefficients zero), so none is worse than it; node -> P2Solution."""
-    box = stability_box(top) * (1.0 - 1e-9)
-    cols = np.array([[j] + list(neighbors(top, j)) for j in group], dtype=np.intp)
-    found = _ascend_rows(moments, np.array(group), cols,
-                         np.zeros((len(group), cols.shape[1] - 1)), alpha, box)
-    return {j: P2Solution(j, dict(zip(c[1:].tolist(), map(float, point))),
-                          float(tau), float(pd), alpha, int(evals), bool(converged))
-            for j, c, point, converged, tau, _, pd, evals in zip(group, cols, *found)}
-
-
 def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float) -> dict:
     """Node -> neighbourhood (P2) design for every node of `top`, each on
-    its own components in `moments`.  Nodes of equal degree share one
-    lockstep ascent; each design equals the node's own one-node ascent."""
+    its own components in `moments`, from one lockstep ascent started at the
+    local detector (all neighbour coefficients zero), so none is worse than
+    it.  Every row is padded to the largest degree on the node's own score
+    with coefficients pinned at 0 (a box of 0); a padded term adds +-0 to
+    every sum of the ascent, so each design equals the node's own one-node
+    ascent."""
     _check_alpha(alpha)
-    groups = {}
-    for j in top.nodes:
-        groups.setdefault(len(neighbors(top, j)), []).append(j)
-    found = {}
-    for group in groups.values():
-        found.update(_neighbourhood_group(moments, top, group, alpha))
-    return {j: found[j] for j in top.nodes}
+    hoods = [neighbors(top, j) for j in top.nodes]
+    degree = np.array([len(hood) for hood in hoods])
+    width = int(degree.max())
+    cols = np.array([[j, *hood] + [j] * (width - len(hood))
+                     for j, hood in zip(top.nodes, hoods)], dtype=np.intp)
+    box = np.where(np.arange(width) < degree[:, None], stability_box(top) * (1.0 - 1e-9), 0.0)
+    found = _ascend_rows(moments, np.array(top.nodes), cols,
+                         np.zeros((top.node_count, width)), alpha, box)
+    return {j: P2Solution(j, dict(zip(hood, map(float, point))), float(tau), float(pd),
+                          alpha, int(evals), bool(converged))
+            for j, hood, point, converged, tau, _, pd, evals in zip(top.nodes, hoods, *found)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ the common draw or P for the flips.  A generator's `random(n)` returns the
 same doubles as n scalar `random()` calls, so the walk equals a slot-by-slot
 one that draws each uniform as it needs it; the block is sized for the worst
 case, and the uniforms left over at its end belong to the activity stream
-alone, so nothing downstream moves.  Only where each coupling test sits is
-found step by step; per chain a step then resets, keeps or negates the state,
-so the states follow from the last reset and a parity of negations.
+alone, so nothing downstream moves.  Where each coupling test sits follows
+by blocked pointer jumping over the uniforms, with no per-slot Python; per
+chain a step then resets, keeps or negates the state, so the states follow
+from the last reset and a parity of negations.
 
 Everything here is driven by the keyed streams in `rng`, so campaigns are
 reproducible from (seed, index) regardless of what else ran first.  A
@@ -50,6 +51,7 @@ from .graph import Topology, _is_integer, chain
 from .performance import ComponentMoments
 
 _OBS_CHUNK = 2048
+_WALK_BLOCK = 64          # steps per block of `_coupling_tests`, a power of 2
 
 # SNR stagger (in units of delta_rho) for three-node footprints, by the
 # position of the node within the footprint and the parity of the
@@ -285,10 +287,45 @@ def stationary_activity(config: ScenarioConfig) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _coupling_tests(common: np.ndarray, steps: int, p: int) -> np.ndarray:
+    """Positions (steps,) in the uniforms of the walk's coupling tests.
+
+    The test after one at i sits at next[i] = i + 2 after a common draw and
+    i + 1 + P otherwise.  Pointer jumping composes next into next^B (B =
+    `_WALK_BLOCK`) by doubling, walks one anchor per block of B steps
+    through it, and fills every block at once, one gather per offset.
+    Position n is a sink, so the last block may run past the end."""
+    n = common.size
+    nxt = np.arange(1 + p, n + 2 + p)
+    nxt[:n] -= (p - 1) * common
+    np.minimum(nxt, n, out=nxt)
+    jump = nxt
+    for _ in range(_WALK_BLOCK.bit_length() - 1):
+        # every entry lies in [0, n], so "clip" only skips the bounds check
+        jump = np.take(jump, jump, mode="clip")
+    anchors = np.empty(-(-steps // _WALK_BLOCK), dtype=np.intp)
+    i = 0
+    for b in range(anchors.size):
+        anchors[b] = i
+        i = jump[i]
+    at = np.empty((_WALK_BLOCK, anchors.size), dtype=np.intp)
+    at[0] = anchors
+    for k in range(1, _WALK_BLOCK):
+        at[k] = nxt[at[k - 1]]
+    return at.T.ravel()[:steps]
+
+
 def draw_activity(config: ScenarioConfig, slots: int,
                   gen: np.random.Generator) -> np.ndarray:
     """(T, P) activity matrix; starts from the stationary law (or the
-    configured pattern) and walks the coupled chains."""
+    configured pattern) and walks the coupled chains.
+
+    `slots` must be a positive integer.  The coupling tests are placed by
+    `_coupling_tests`, and the states follow per chain on a (P, T) layout:
+    each is its last reset's value, negated once per negation since.  The
+    result is the per-slot walk's, uniform for uniform and state for state.
+    """
+    slots = _integer(slots, "slots")
     if slots < 1:
         raise ValueError("need at least one slot")
     p = config.pu_count
@@ -301,27 +338,25 @@ def draw_activity(config: ScenarioConfig, slots: int,
     # a step uses at most 1 + P uniforms; the tail of the block may go unused
     u = gen.random((slots - 1) * (1 + p))
     common = u < config.coupling
-    # where each step's coupling test sits is the walk's one sequential part
-    steps, i, flags = [], 0, common.tolist()
-    for _ in range(slots - 1):
-        steps.append(i)
-        i += 2 if flags[i] else 1 + p
-    at = np.array(steps, dtype=np.intp)[:, None]
+    at = _coupling_tests(common, slots - 1, p)
+    pi = np.array(config.on_prob)[:, None]
+    reset = common[at]
     z = u[at + 1] < config.on_prob[0]
-    r = u[at + 1 + np.arange(p)]
-    pi = np.array(config.on_prob)
-    # per slot and chain, the next state from off and from on (slot 0 starts
-    # from the first state): the two agree on a reset, else the step keeps
-    # the state (0, 1) or negates it (1, 0)
-    first = np.array([state], dtype=bool)
-    from_off = np.vstack([first, np.where(common[at], z, r < 2.0 * config.flip * pi)])
-    from_on = np.vstack([first, np.where(common[at], z,
-                                         r >= 2.0 * config.flip * (1.0 - pi))])
-    # a state is the last reset's value, negated once per negation since
-    parity = np.cumsum(from_off > from_on, axis=0) & 1
-    last = np.maximum.accumulate(
-        np.where(from_off == from_on, np.arange(slots)[:, None], 0), axis=0)
-    return (np.take_along_axis(from_off ^ parity, last, axis=0) ^ parity).astype(np.int8)
+    r = u[at + 1 + np.arange(p)[:, None]]          # (P, T - 1)
+    # per chain and slot, the next state from off and from on (slot 0 holds
+    # the first state): the two agree on a reset, else the step keeps the
+    # state (0, 1) or negates it (1, 0)
+    from_off = np.empty((p, slots), dtype=bool)
+    from_on = np.empty_like(from_off)
+    from_off[:, 0] = from_on[:, 0] = state
+    from_off[:, 1:] = np.where(reset, z, r < 2.0 * config.flip * pi)
+    from_on[:, 1:] = np.where(reset, z, r >= 2.0 * config.flip * (1.0 - pi))
+    # a state is the last reset's value, negated once per negation since;
+    # a count that wraps at 256 keeps its parity
+    parity = np.cumsum(from_off > from_on, axis=1, dtype=np.uint8) & 1
+    last = np.maximum.accumulate(np.where(from_off == from_on, np.arange(slots), 0), axis=1)
+    states = np.take_along_axis(from_off ^ parity, last, axis=1) ^ parity
+    return np.ascontiguousarray(states.T, dtype=np.int8)
 
 
 def node_states(config: ScenarioConfig, activity: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ them the tests pin the batched push-forward and threshold solve.
 and `own_components` reads one node's unpadded components out of a set.
 
 `star` and `frozen` build topologies and pinned-pattern scenarios,
-`optimize_p2` is the one-node neighbourhood design that
-`optimizer.neighbourhood_designs` runs in lockstep, and `mrc_probe` reads
+`optimize_p2` is the unpadded one-row ascent of one node's neighbourhood
+design, which each padded row of `optimizer.neighbourhood_designs` must
+equal, and `mrc_probe` reads
 the energy damping of the quadratic relaxation's second-round estimates.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from mpfusion.graph import MrfParams, Topology, neighbors
-from mpfusion.optimizer import P2Solution, _check_alpha, _neighbourhood_group
+from mpfusion.optimizer import P2Solution, _ascend_rows, _check_alpha, stability_box
 from mpfusion.performance import (
     _THRESHOLD_TOL,
     ComponentMoments,
@@ -50,9 +51,15 @@ def frozen(config: ScenarioConfig, pattern) -> ScenarioConfig:
 def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
                 alpha: float) -> P2Solution:
     """One node's neighbourhood design at a pinned false-alarm rate, on that
-    node's components in `moments`: the one-node lockstep ascent."""
+    node's components in `moments`: the unpadded one-row ascent that each
+    row of `optimizer.neighbourhood_designs` must equal."""
     _check_alpha(alpha)
-    return _neighbourhood_group(moments, top, [node], alpha)[node]
+    hood = neighbors(top, node)
+    point, converged, tau, _, pd, evals = _ascend_rows(
+        moments, np.array([node]), np.array([[node, *hood]]),
+        np.zeros((1, len(hood))), alpha, stability_box(top) * (1.0 - 1e-9))
+    return P2Solution(node, dict(zip(hood, map(float, point[0]))), float(tau[0]),
+                      float(pd[0]), alpha, int(evals[0]), bool(converged[0]))
 
 
 def mrc_probe(instance: QuadraticInstance, k: int, j: int, energy_sweep):

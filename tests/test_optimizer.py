@@ -339,6 +339,26 @@ def test_tree_designs_converge_and_keep_their_order():
         assert p1.pd[j - 1] >= hood[j].pd - 1e-12
 
 
+def test_rows_stop_at_the_resolution_of_pd():
+    # node 3's exact design on the bench chain meets its optimum at trial 14
+    # and once took 33 more rejected trials halving its step toward 1e-12
+    cfg = ScenarioConfig()
+    moments = moments_from_scenario(scenario_stats(cfg))
+    top = cfg.topology()
+    hood = neighbourhood_designs(moments, top, 0.1)
+    assert hood[3].converged and hood[3].evaluations <= 20
+    # a restart at the converged network design gains no resolvable Pd: every
+    # row stops once its trials promise no more (node 3 once took 47 trials)
+    p1 = optimize_p1(moments, top, 0.1, hood)
+    nodes = np.array(top.nodes)
+    cols = np.array([[j] + [i for i in top.nodes if i != j] for j in top.nodes])
+    rows = p1.weights[nodes[:, None] - 1, cols - 1]
+    point, converged, _, _, pd, evals = optimizer._ascend_rows(
+        moments, nodes, cols, rows[:, 1:], 0.1, 2.0)
+    assert converged.all() and (evals <= 20).all()
+    assert (pd >= p1.pd).all() and (pd - p1.pd <= 1e-13).all()
+
+
 def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
     moments, top, hood = _p1_inputs()
     calls, ascend = [], optimizer._ascend_rows
@@ -349,7 +369,7 @@ def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_ascend_rows", counted)
     assert neighbourhood_designs(moments, top, 0.1) == hood
-    assert calls == [[1, 5], [2, 3, 4]]      # one lockstep ascent per degree
+    assert calls == [[1, 2, 3, 4, 5]]        # one lockstep ascent for every degree
     calls.clear()
     optimize_p1(moments, top, 0.1, hood)
     assert calls == [[1, 2, 3, 4, 5]]
@@ -359,6 +379,12 @@ def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
     stars = moments_from_scenario(scenario_stats(cfg))
     assert neighbourhood_designs(stars, star_top, 0.1) == {
         j: optimize_p2(stars, star_top, j, alpha=0.1) for j in star_top.nodes}
+    # the 15-node tree: degrees 1, 2 and 3 padded to 3 in one ascent
+    tree = tree_config()
+    tree_top = tree.topology()
+    trees = moments_from_scenario(scenario_stats(tree))
+    assert neighbourhood_designs(trees, tree_top, 0.1) == {
+        j: optimize_p2(trees, tree_top, j, alpha=0.1) for j in tree_top.nodes}
 
 
 # ------------------------------------------------------------ network tune

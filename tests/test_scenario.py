@@ -38,6 +38,7 @@ from mpfusion.scenario import (
     stationary_activity,
     with_rho,
     _OBS_CHUNK,
+    _WALK_BLOCK,
     _transition_matrix,
 )
 from mpfusion.sensing import energy_moments
@@ -182,6 +183,10 @@ def test_draw_activity_rejects_empty_walks():
     for slots in (0, -3):
         with pytest.raises(ValueError, match="at least one slot"):
             draw_activity(cfg, slots, rng.stream(57, rng.GENERIC, 0))
+    # a walk length must be an integer: a bool or a float, integral or not, is none
+    for slots in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match=f"slots must be an integer, got {slots!r}"):
+            draw_activity(cfg, slots, rng.stream(57, rng.GENERIC, 0))
 
 
 def _step_activity_oracle(activity, config, gen):
@@ -241,6 +246,12 @@ def _walk_cases(draw):
 @example((ScenarioConfig(coupling=0.2, flip=0.95), 3000, 12345))
 @example((ScenarioConfig(), 1, 12345))
 @example((ScenarioConfig(), 2, 12345))
+# B - 1, B, B + 1 and 2B + 1 steps of the blocked pointer jumping, B = _WALK_BLOCK
+@example((ScenarioConfig(), _WALK_BLOCK, 12345))
+@example((tree_config(), _WALK_BLOCK + 1, 12345))
+@example((ScenarioConfig(coupling=0.0), _WALK_BLOCK + 2, 12345))
+@example((tree_config(), 2 * _WALK_BLOCK + 2, 90940))
+@example((ScenarioConfig(), 5003, 90940))
 # the tree-engines workload's campaign length
 @example((tree_config(), 44548, 12345))
 @example((tree_config(), 44548, 90940))
