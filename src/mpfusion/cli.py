@@ -117,13 +117,6 @@ def _result_doc(r: pipeline.MethodResult) -> dict:
             "thresholds": r.thresholds, "report": r.report.to_dict()}
 
 
-def _p2_docs(solutions: dict) -> dict:
-    """The report entries of per-node neighbourhood (P2) designs."""
-    return {str(j): {"coefficients": s.coefficients, "threshold": s.threshold,
-                     "pd": s.pd, "converged": s.converged}
-            for j, s in solutions.items()}
-
-
 def _cell_kwargs(cfg: config_mod.RunConfig) -> dict:
     """The pipeline keywords a run configuration sets for every cell."""
     return {"iterations": cfg.detector.iterations,
@@ -275,45 +268,29 @@ def cmd_optimize(args) -> int:
     cfg = _load_run(args)
     scn = cfg.scenario
     top = scn.topology()
-    stats = scenario.scenario_stats(scn)
-    moments = scenario.moments_from_scenario(stats)
-
+    moments = scenario.moments_from_scenario(scenario.scenario_stats(scn))
     hood = optimizer.neighbourhood_designs(moments, top, scn.far)
-    network = optimizer.optimize_p1(moments, top, scn.far, hood)
-    p2 = {"neighbourhood": hood}
-
-    payload = {
-        "command": "optimize",
-        "config": config_mod.to_dict(cfg),
-        "neighbourhood": _p2_docs(hood),
-        "network": {"weights": network.weights,
-                    "thresholds": network.thresholds,
-                    "pf": network.pf,
-                    "pd": network.pd,
-                    "notes": list(network.notes)},
-    }
+    designs = {"neighbourhood": hood,
+               "network": optimizer.optimize_p1(moments, top, scn.far, hood)}
     if args.blind:
         camp = scenario.run_campaign(scn, cfg.evaluation.calibration_slots,
                                      cfg.seed, index=1)
         blind = optimizer.blind_adapt(camp.gamma, top, scn.far, truth=camp.x)
-        p2["blind"] = blind.solutions
-        payload["blind"] = {
-            "label_accuracy_initial": blind.initial_accuracy,
-            "label_accuracy_final": blind.final_accuracy,
-            "folded_cells": blind.folded_cells,
-            "solutions": _p2_docs(blind.solutions),
-        }
+        designs["blind"] = blind.design
+    payload = {"command": "optimize", "config": config_mod.to_dict(cfg),
+               **{kind: dict(vars(design)) for kind, design in designs.items()}}
+    if args.blind:
+        payload["blind"].update(label_accuracy={"initial": blind.initial_accuracy,
+                                                "final": blind.final_accuracy},
+                                folded_cells=blind.folded_cells)
     out = _out_dir(args)
     _write_json(os.path.join(out, "solution.json"), payload)
-    for note in network.notes:
-        print(f"warning: network design: {note}", file=sys.stderr)
-    for kind, solutions in p2.items():
-        for j, sol in solutions.items():
-            if not sol.converged:
+    for kind, design in designs.items():
+        for j, converged in zip(top.nodes, design.converged):
+            if not converged:
                 print(f"warning: {kind} design for node {j} did not converge", file=sys.stderr)
-    mean_pd = float(np.mean([s.pd for s in hood.values()]))
-    print(f"neighbourhood design: mean model pd = {mean_pd:.4f}")
-    print(f"network design: mean model pd = {float(np.mean(network.pd)):.4f}")
+    for kind, design in designs.items():
+        print(f"{kind} design: mean model pd = {float(np.mean(design.pd)):.4f}")
     print(f"wrote {out}/solution.json")
     return 0
 

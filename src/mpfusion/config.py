@@ -111,6 +111,12 @@ class RunConfig:
     evaluation: EvaluationBlock = field(default_factory=EvaluationBlock)
     seed: int = 12345
 
+    def __post_init__(self) -> None:
+        if not _is_integer(self.seed):
+            raise ConfigError("$.seed must be an integer")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"$.seed must lie in [0, 2**64), got {self.seed}")
+
 
 _SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
 _DETECTOR_KEYS = {f.name for f in fields(DetectorBlock)}
@@ -139,17 +145,12 @@ def from_dict(d: dict) -> RunConfig:
     ev = _mapping(d.get("evaluation", {}), "$.evaluation", _EVALUATION_KEYS)
     if not isinstance(ev.get("methods", []), list):
         raise ConfigError("$.evaluation.methods must be a list of labels")
-    seed = d.get("seed", RunConfig.seed)
-    if not _is_integer(seed):
-        raise ConfigError("$.seed must be an integer")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"$.seed must lie in [0, 2**64), got {seed}")
     try:
         detector = DetectorBlock(**det)
         evaluation = EvaluationBlock(**ev)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(scenario_cfg, detector, evaluation, seed)
+    return RunConfig(scenario_cfg, detector, evaluation, d.get("seed", RunConfig.seed))
 
 
 def to_dict(cfg: RunConfig) -> dict:

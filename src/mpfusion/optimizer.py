@@ -20,7 +20,9 @@ A row stops once a step gains or promises no more than Pd can resolve.
 detector, each row padded to the largest degree with pinned zeros;
 `optimize_p1` runs all rows in one ascent from the nodes' P2 designs, which
 the caller passes in, so a cell solves every neighbourhood design once.  A
-row's path does not depend on the batch.
+row's path does not depend on the batch.  Every design, blind ones too, is
+one `LinearDesign`: its weight matrix with per-row thresholds, model Pf and
+Pd, and convergence.
 Every design takes one `ComponentMoments`: exact components from
 `scenario.moments_from_scenario`, blind ones from `blind_adapt` through the
 label-cell fit `_cell_moments`, both built by `ComponentMoments.from_cells`.
@@ -29,7 +31,7 @@ label-cell fit `_cell_moments`, both built by `ComponentMoments.from_cells`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +77,25 @@ def learn_couplings(labels, top: Topology, zeta: float) -> MrfParams:
 
 
 # ---------------------------------------------------------------------------
-# neighbourhood design (one coefficient per incident edge)
+# linear designs
 
 
 @dataclass(frozen=True)
-class P2Solution:
-    node: int
-    coefficients: dict            # neighbour -> coefficient
-    threshold: float
-    pd: float
-    pf_target: float
-    evaluations: int
-    converged: bool
+class LinearDesign:
+    """A linear fusion rule lambda = W gamma designed at false-alarm rate
+    `alpha`, with what its row search found: node j's row of `weights` is
+    its rule (own weight one), `thresholds`, `pf` and `pd` are model values
+    on the components it was designed on, and `converged` and `evaluations`
+    tell per row whether the ascent ended at a stationary point and how many
+    rules it priced."""
+
+    weights: np.ndarray           # (N, N), unit diagonal
+    thresholds: np.ndarray        # (N,)
+    pf: np.ndarray                # (N,)
+    pd: np.ndarray                # (N,)
+    converged: np.ndarray         # (N,) bool
+    evaluations: np.ndarray       # (N,) int
+    alpha: float
 
 
 def stability_box(top: Topology) -> float:
@@ -170,14 +179,26 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float) -> dict:
-    """Node -> neighbourhood (P2) design for every node of `top`, each on
-    its own components in `moments`, from one lockstep ascent started at the
-    local detector (all neighbour coefficients zero), so none is worse than
-    it.  Every row is padded to the largest degree on the node's own score
-    with coefficients pinned at 0 (a box of 0); a padded term adds +-0 to
-    every sum of the ascent, so each design equals the node's own one-node
-    ascent."""
+def _design(cols, found, alpha: float) -> LinearDesign:
+    """The design of `_ascend_rows`' output `found` on rows `cols`, one per
+    node in node order.  A padded coordinate points at the node's own score
+    with a pinned +-0, so the coefficients are added to the identity, which
+    keeps the unit diagonal."""
+    points, converged, thresholds, pf, pd, evaluations = found
+    weights = np.eye(len(cols))
+    np.add.at(weights, (cols[:, :1] - 1, cols[:, 1:] - 1), points)
+    return LinearDesign(weights, thresholds, pf, pd, converged, evaluations, alpha)
+
+
+def neighbourhood_designs(moments: ComponentMoments, top: Topology,
+                          alpha: float) -> LinearDesign:
+    """Neighbourhood (P2) design of every node of `top`, each row on the
+    node's own components in `moments` with one coefficient per incident
+    edge, from one lockstep ascent started at the local detector (all
+    neighbour coefficients zero), so no row is worse than it.  Every row is
+    padded to the largest degree on the node's own score with coefficients
+    pinned at 0 (a box of 0); a padded term adds +-0 to every sum of the
+    ascent, so each row equals the node's own one-node ascent."""
     _check_alpha(alpha)
     hoods = [neighbors(top, j) for j in top.nodes]
     degree = np.array([len(hood) for hood in hoods])
@@ -187,56 +208,33 @@ def neighbourhood_designs(moments: ComponentMoments, top: Topology, alpha: float
     box = np.where(np.arange(width) < degree[:, None], stability_box(top) * (1.0 - 1e-9), 0.0)
     found = _ascend_rows(moments, np.array(top.nodes), cols,
                          np.zeros((top.node_count, width)), alpha, box)
-    return {j: P2Solution(j, dict(zip(hood, map(float, point))), float(tau), float(pd),
-                          alpha, int(evals), bool(converged))
-            for j, hood, point, converged, tau, _, pd, evals in zip(top.nodes, hoods, *found)}
+    return _design(cols, found, alpha)
 
 
 # ---------------------------------------------------------------------------
 # network design (full weight row per node)
 
 
-@dataclass(frozen=True)
-class P1Solution:
-    weights: np.ndarray           # (N, N), unit diagonal
-    thresholds: np.ndarray        # (N,)
-    pf: np.ndarray
-    pd: np.ndarray
-    notes: tuple = field(default=())
-
-
 def optimize_p1(moments: ComponentMoments, top: Topology, alpha: float,
-                neighbourhood: dict) -> P1Solution:
+                start: LinearDesign) -> LinearDesign:
     """Network design: per-row detection maximization.
 
     Each node's row (own weight one, all other entries free in [-2, 2]) is
     tuned to maximize detection at false-alarm rate alpha; all rows run in
-    one lockstep ascent.  `neighbourhood` maps every node to its
-    neighbourhood design at that alpha; each row starts from it
-    zero-extended, so the result is never worse than that design under the
-    same statistics.  Rows that stop without converging are named in
-    `notes`.
+    one lockstep ascent, each from its row of `start`, a design of every
+    node at that alpha (the neighbourhood designs), so the result is never
+    worse than `start` under the same statistics.
     """
     _check_alpha(alpha)
-    for j in top.nodes:
-        hood = neighbourhood.get(j)
-        if hood is None:
-            raise ValueError(f"no neighbourhood design for node {j}")
-        if hood.node != j or hood.pf_target != alpha:
-            raise ValueError(
-                f"neighbourhood design for node {j} is for node {hood.node} at "
-                f"false-alarm rate {hood.pf_target}, not node {j} at {alpha}")
+    if start.alpha != alpha:
+        raise ValueError(f"start design is for false-alarm rate {start.alpha}, not {alpha}")
+    if start.weights.shape != (top.node_count, top.node_count):
+        raise ValueError(f"start design has {start.weights.shape[0]} nodes, "
+                         f"not {top.node_count}")
     cols = np.array([[j] + [i for i in top.nodes if i != j] for j in top.nodes])
-    start = [[neighbourhood[j].coefficients.get(i, 0.0) for i in cols[j - 1, 1:].tolist()]
-             for j in top.nodes]
-    rows, converged, thresholds, pf, pd, _ = _ascend_rows(
-        moments, np.array(top.nodes), cols, start, alpha, _P1_BOX)
-    weight_matrix = np.eye(top.node_count)
-    weight_matrix[cols[:, :1] - 1, cols[:, 1:] - 1] = rows
-    stuck = [str(j) for j, ok in zip(top.nodes, converged) if not ok]
-    notes = (f"gradient ascent stopped with a projected gradient above {_GRAD_TOL:g} "
-             f"for nodes {', '.join(stuck)}",) if stuck else ()
-    return P1Solution(weight_matrix, thresholds, pf, pd, notes)
+    rows = start.weights[cols[:, :1] - 1, cols[:, 1:] - 1]
+    return _design(cols, _ascend_rows(moments, np.array(top.nodes), cols, rows, alpha, _P1_BOX),
+                   alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ def egc_weights(top: Topology, c0: float) -> dict:
 class BlindResult:
     labels: np.ndarray            # (N, T) corrected +-1 labels
     moments: ComponentMoments     # every node's, with one-hop support
-    solutions: dict               # node -> P2Solution
+    design: LinearDesign          # neighbourhood designs on `moments`
     folded_cells: dict            # node -> label cells folded away
     initial_accuracy: float | None = None
     final_accuracy: float | None = None
@@ -378,5 +376,5 @@ def blind_adapt(gamma, top: Topology, alpha: float, rounds: int = 3,
     final_acc = None if truth is None else float(np.mean(labels == truth))
 
     moments, folded = _blind_moments(g, labels, top, min_cell)
-    solutions = neighbourhood_designs(moments, top, alpha)
-    return BlindResult(labels, moments, solutions, folded, init_acc, final_acc)
+    design = neighbourhood_designs(moments, top, alpha)
+    return BlindResult(labels, moments, design, folded, init_acc, final_acc)

@@ -149,8 +149,8 @@ class _Cell:
         return scenario.moments_from_scenario(self.stats)
 
     @cached_property
-    def neighbourhood_designs(self) -> dict:
-        """Node -> neighbourhood (P2) design on the exact moments."""
+    def neighbourhood_designs(self) -> optimizer.LinearDesign:
+        """The neighbourhood (P2) designs on the exact moments."""
         return optimizer.neighbourhood_designs(self.pattern_moments, self.top,
                                                self.cfg.far)
 
@@ -185,20 +185,10 @@ def _engine_lambda(top: Topology, gamma, algorithm: str, iterations: int,
     return discrete.decision_variables(state, top, gamma)
 
 
-def _search_extras(solutions: dict) -> dict:
-    """Per-node convergence and objective evaluations of P2 designs."""
-    return {"converged": {j: s.converged for j, s in solutions.items()},
-            "evaluations": {j: s.evaluations for j, s in solutions.items()}}
-
-
-def _row_matrix(top: Topology, solutions: dict) -> np.ndarray:
-    """Weight matrix from per-node neighbour coefficient maps."""
-    n = top.node_count
-    w = np.eye(n)
-    for j, sol in solutions.items():
-        for k, c in sol.coefficients.items():
-            w[j - 1, k - 1] = c
-    return w
+def _design_extras(design: optimizer.LinearDesign) -> dict:
+    """Weight matrix and per-node search outcome of a design preset."""
+    return {"weights": design.weights.tolist(), "converged": design.converged.tolist(),
+            "evaluations": design.evaluations.tolist()}
 
 
 def _couplings(params: MrfParams) -> dict:
@@ -223,30 +213,22 @@ def _linear_rule(cell: _Cell, spec: MethodSpec):
                                  cell.iterations, coefficients=coeffs)
         extras["weights"] = weights.tolist()
         return weights, None, extras
-    if spec.kind == "linProp":
-        solutions = cell.neighbourhood_designs
-        return (_row_matrix(top, solutions),
-                np.array([solutions[j].threshold for j in top.nodes]),
-                {"coefficients": {j: solutions[j].coefficients for j in top.nodes},
-                 "model_pd": {j: solutions[j].pd for j in top.nodes},
-                 **_search_extras(solutions)})
     if spec.kind == "linPropB":
         blind = optimizer.blind_adapt(cell.calib.gamma, top, cell.cfg.far,
                                       truth=cell.calib.x)
         # deployment thresholds: exact mixture for the blind-chosen weights
-        return (_row_matrix(top, blind.solutions), None,
-                {"coefficients": {j: blind.solutions[j].coefficients for j in top.nodes},
-                 "blind_thresholds": {j: blind.solutions[j].threshold for j in top.nodes},
+        return (blind.design.weights, None,
+                {**_design_extras(blind.design),
+                 "blind_thresholds": blind.design.thresholds.tolist(),
                  "label_accuracy": {"initial": blind.initial_accuracy,
                                     "final": blind.final_accuracy},
-                 "folded_cells": blind.folded_cells,
-                 **_search_extras(blind.solutions)})
-    if spec.kind == "linOpt":
-        sol = optimizer.optimize_p1(cell.pattern_moments, top, cell.cfg.far,
-                                    cell.neighbourhood_designs)
-        return sol.weights, sol.thresholds, {"weights": sol.weights.tolist(),
-                                             "model_pd": sol.pd.tolist(),
-                                             "notes": list(sol.notes)}
+                 "folded_cells": blind.folded_cells})
+    if spec.kind in ("linProp", "linOpt"):
+        design = cell.neighbourhood_designs
+        if spec.kind == "linOpt":
+            design = optimizer.optimize_p1(cell.pattern_moments, top, cell.cfg.far, design)
+        return (design.weights, design.thresholds,
+                {**_design_extras(design), "model_pd": design.pd.tolist()})
     raise ValueError(f"unhandled method kind {spec.kind!r}")  # pragma: no cover
 
 

@@ -133,7 +133,7 @@ class ScenarioConfig:
         if np.isscalar(pi):
             pi = tuple(_real(pi, "on_prob") for _ in cov)
         else:
-            pi = tuple(_real(x, "on_prob entry") for x in pi)
+            pi = tuple(_real(x, "on_prob entry") for x in _sequence(pi, "on_prob"))
         if len(pi) != len(cov):
             raise ValueError("on_prob must give one duty cycle per transmitter")
         object.__setattr__(self, "on_prob", pi)
@@ -462,24 +462,15 @@ def scenario_stats(config: ScenarioConfig) -> ScenarioStats:
     slot_amp = amp @ pats.T.astype(float)            # (N, M)
     x_table = np.where((amp > 0) @ pats.T > 0, 1, -1).astype(np.int8)
 
-    n, m = slot_amp.shape
     k = config.sample_count
-    mean = np.empty((n, m))
-    var = np.empty((n, m))
     if config.sensing_mode == "energy":
-        tau0 = config.tau0
-        for j in range(n):
-            for c in range(m):
-                mean[j, c], var[j, c] = sensing.energy_moments(
-                    k * slot_amp[j, c] ** 2, config.noise_var, k, tau0)
+        mean, var = sensing.energy_moments(k * slot_amp ** 2, config.noise_var, k,
+                                           config.tau0)
     else:
-        templates = nominal_templates(config)
-        for j in range(n):
-            e_t = k * templates[j] ** 2
-            for c in range(m):
-                cross = k * templates[j] * slot_amp[j, c]
-                mean[j, c], var[j, c] = sensing.matched_moments(
-                    e_t, cross, config.noise_var)
+        templates = nominal_templates(config)[:, None]
+        energy = np.repeat(k * templates ** 2, slot_amp.shape[1], axis=1)
+        mean, var = sensing.matched_moments(energy, k * templates * slot_amp,
+                                            config.noise_var)
     return ScenarioStats(config, pats, probs, x_table, mean, var)
 
 

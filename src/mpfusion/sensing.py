@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Tuple
 
 import numpy as np
 
@@ -71,26 +70,27 @@ def energy_threshold(noise_var: float, sample_count: int, far: float) -> float:
     return noise_var * (1.0 + np.sqrt(2.0 / sample_count) * q_inverse(far))
 
 
-def matched_moments(template_energy: float, cross: float, noise_var: float) -> Tuple[float, float]:
-    """Mean/variance of the coherent statistic.
+def matched_moments(template_energy, cross, noise_var: float):
+    """Mean/variance of the coherent statistic, element by element over
+    arrays of template energies and crosses.
 
     `cross` is t^T s for the actually-active signal s (E when the nominal
     signal is on, 0 when everything is off, in between for partial overlap).
     """
     _check_noise(noise_var)
-    if template_energy < 0:
+    if np.any(np.asarray(template_energy) < 0):
         raise ValueError("template energy must be nonnegative")
     return cross - 0.5 * template_energy, template_energy * noise_var
 
 
-def energy_moments(active_energy: float, noise_var: float, sample_count: int,
-                   tau0: float) -> Tuple[float, float]:
+def energy_moments(active_energy, noise_var: float, sample_count: int, tau0: float):
     """Mean/variance of the energy statistic when the received signal energy
     (over the whole window) is `active_energy` — 0 when silent, and possibly
-    a coherent-sum energy when several sources add up."""
+    a coherent-sum energy when several sources add up — element by element
+    over an array of energies."""
     _check_noise(noise_var)
     _check_samples(sample_count)
-    if active_energy < 0:
+    if np.any(np.asarray(active_energy) < 0):
         raise ValueError("active energy must be nonnegative")
     snr = active_energy / (sample_count * noise_var)
     mean = noise_var * (1.0 + snr) - tau0

@@ -14,16 +14,17 @@ and `own_components` reads one node's unpadded components out of a set.
 `star` and `frozen` build topologies and pinned-pattern scenarios,
 `optimize_p2` is the unpadded one-row ascent of one node's neighbourhood
 design, which each padded row of `optimizer.neighbourhood_designs` must
-equal, and `mrc_probe` reads
+equal (`node_designs` reads those rows back as the same per-node records),
+and `mrc_probe` reads
 the energy damping of the quadratic relaxation's second-round estimates.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from mpfusion.graph import MrfParams, Topology, neighbors
-from mpfusion.optimizer import P2Solution, _ascend_rows, _check_alpha, stability_box
+from mpfusion.optimizer import LinearDesign, _ascend_rows, _check_alpha, stability_box
 from mpfusion.performance import (
     _THRESHOLD_TOL,
     ComponentMoments,
@@ -48,8 +49,21 @@ def frozen(config: ScenarioConfig, pattern) -> ScenarioConfig:
     return replace(config, flip=0.0, coupling=0.0, initial_activity=tuple(pattern))
 
 
+@dataclass(frozen=True)
+class NodeDesign:
+    """One node's neighbourhood design: neighbour -> coefficient, and what
+    its ascent found."""
+
+    node: int
+    coefficients: dict
+    threshold: float
+    pd: float
+    evaluations: int
+    converged: bool
+
+
 def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
-                alpha: float) -> P2Solution:
+                alpha: float) -> NodeDesign:
     """One node's neighbourhood design at a pinned false-alarm rate, on that
     node's components in `moments`: the unpadded one-row ascent that each
     row of `optimizer.neighbourhood_designs` must equal."""
@@ -58,8 +72,16 @@ def optimize_p2(moments: ComponentMoments, top: Topology, node: int,
     point, converged, tau, _, pd, evals = _ascend_rows(
         moments, np.array([node]), np.array([[node, *hood]]),
         np.zeros((1, len(hood))), alpha, stability_box(top) * (1.0 - 1e-9))
-    return P2Solution(node, dict(zip(hood, map(float, point[0]))), float(tau[0]),
-                      float(pd[0]), alpha, int(evals[0]), bool(converged[0]))
+    return NodeDesign(node, dict(zip(hood, map(float, point[0]))), float(tau[0]),
+                      float(pd[0]), int(evals[0]), bool(converged[0]))
+
+
+def node_designs(design: LinearDesign, top: Topology) -> dict:
+    """Node -> `NodeDesign` of each row of a neighbourhood design."""
+    return {j: NodeDesign(j, {k: float(design.weights[j - 1, k - 1]) for k in neighbors(top, j)},
+                          float(design.thresholds[j - 1]), float(design.pd[j - 1]),
+                          int(design.evaluations[j - 1]), bool(design.converged[j - 1]))
+            for j in top.nodes}
 
 
 def mrc_probe(instance: QuadraticInstance, k: int, j: int, energy_sweep):

@@ -141,6 +141,9 @@ def test_gaussianity_reports_all_nodes(tmp_path):
                       "empirical_cdf", "normal_cdf"]
 
 
+_DESIGN_KEYS = {"weights", "thresholds", "pf", "pd", "converged", "evaluations", "alpha"}
+
+
 def test_optimize_emits_designs(tmp_path, capsys):
     cfg = _fast_config(tmp_path)
     out = tmp_path / "opt"
@@ -148,12 +151,12 @@ def test_optimize_emits_designs(tmp_path, capsys):
     assert rc == 0
     doc = _read_json(out / "solution.json")
     assert doc["spec_version"] == config_mod.FORMAT_VERSION
-    assert set(doc["neighbourhood"]) == {"1", "2", "3", "4", "5"}
-    for sol in doc["neighbourhood"].values():
-        assert 0.0 <= sol["pd"] <= 1.0
-    net = doc["network"]
-    assert len(net["weights"]) == 5
-    assert len(net["thresholds"]) == 5
+    for kind in ("neighbourhood", "network"):
+        design = doc[kind]
+        assert set(design) == _DESIGN_KEYS
+        assert len(design["weights"]) == 5
+        assert all(len(design[key]) == 5 for key in _DESIGN_KEYS - {"alpha"})
+        assert all(0.0 <= pd <= 1.0 for pd in design["pd"])
     assert "blind" not in doc
     assert "network design" in capsys.readouterr().out
 
@@ -165,8 +168,9 @@ def test_optimize_blind_flag_adds_block(tmp_path):
     assert rc == 0
     doc = _read_json(out / "solution.json")
     blind = doc["blind"]
-    assert 0.0 <= blind["label_accuracy_final"] <= 1.0
-    assert set(blind["solutions"]) == {"1", "2", "3", "4", "5"}
+    assert set(blind) == _DESIGN_KEYS | {"label_accuracy", "folded_cells"}
+    assert 0.0 <= blind["label_accuracy"]["final"] <= 1.0
+    assert len(blind["weights"]) == 5
     assert set(blind["folded_cells"]) == {"1", "2", "3", "4", "5"}
 
 
@@ -180,18 +184,15 @@ def test_optimize_warns_of_unconverged_designs(tmp_path, capsys, monkeypatch):
     doc = _read_json(out / "solution.json")
     warned = capsys.readouterr().err.splitlines()
     assert all(line.startswith("warning: ") for line in warned)
-    for kind, solutions in (("neighbourhood", doc["neighbourhood"]),
-                            ("blind", doc["blind"]["solutions"])):
-        unconverged = [j for j, sol in solutions.items() if not sol["converged"]]
+    count = 0
+    for kind in ("neighbourhood", "network", "blind"):
+        unconverged = [j for j, ok in enumerate(doc[kind]["converged"], 1) if not ok]
         assert unconverged
         for j in unconverged:
             assert f"warning: {kind} design for node {j} did not converge" in warned
-    assert doc["network"]["notes"]
-    for note in doc["network"]["notes"]:
-        assert f"warning: network design: {note}" in warned
-    assert len(warned) == len(doc["network"]["notes"]) + sum(
-        not sol["converged"] for sol in (*doc["neighbourhood"].values(),
-                                         *doc["blind"]["solutions"].values()))
+        count += len(unconverged)
+    assert doc["network"]["converged"] == [False] * 5
+    assert len(warned) == count
 
 
 def test_bad_config_is_a_clean_error(tmp_path, capsys):
@@ -234,7 +235,8 @@ def test_json_reports_have_no_nan_tokens(tmp_path):
 @pytest.mark.parametrize("scenario,message", [
     ({"edges": [1, 2]}, "$.scenario: edge must be a sequence, got 1"),
     ({"initial_activity": 5}, "$.scenario: initial_activity must be a sequence, got 5"),
-], ids=["edge-not-a-pair", "scalar-activity"])
+    ({"on_prob": None}, "$.scenario: on_prob must be a sequence, got None"),
+], ids=["edge-not-a-pair", "scalar-activity", "null-duty"])
 def test_malformed_scenario_shape_is_a_clean_error(tmp_path, capsys, scenario, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": scenario}))
@@ -242,6 +244,14 @@ def test_malformed_scenario_shape_is_a_clean_error(tmp_path, capsys, scenario, m
                str(tmp_path / "never")])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_flag_outside_64_bits_is_a_clean_error(tmp_path, capsys, seed):
+    out = tmp_path / "never"
+    assert main(["optimize", "--seed", str(seed), "--out", str(out)]) == 2
+    assert f"error: $.seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pattern", ["1,0,1", "1,2"], ids=["wrong-length", "not-0-1"])

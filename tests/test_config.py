@@ -1,7 +1,9 @@
 """Strict config parsing: round-trips, unknown-key paths, validation."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mpfusion.config import (
@@ -172,6 +174,9 @@ def test_seed_outside_64_bits_rejected_at_load(seed):
     with pytest.raises(ConfigError, match=r"\$\.seed"):
         from_dict({"seed": seed})
     assert from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+    # a copy with another seed, as the CLI's --seed makes, is checked too
+    with pytest.raises(ConfigError, match=r"\$\.seed must lie in"):
+        replace(RunConfig(), seed=seed)
 
 
 @pytest.mark.parametrize("scenario,message", [
@@ -179,7 +184,10 @@ def test_seed_outside_64_bits_rejected_at_load(seed):
     ({"edges": 5}, r"edges must be a sequence, got 5"),
     ({"edges": [[1, 2, 3]]}, r"edge \(1, 2, 3\) is not a pair"),
     ({"initial_activity": 5}, r"initial_activity must be a sequence, got 5"),
-], ids=["edge-not-a-pair", "edges-not-a-list", "edge-triple", "scalar-activity"])
+    ({"on_prob": None}, r"on_prob must be a sequence, got None"),
+    ({"on_prob": np.array(0.5)}, r"on_prob must be a sequence, got array\(0\.5\)"),
+], ids=["edge-not-a-pair", "edges-not-a-list", "edge-triple", "scalar-activity",
+        "null-duty", "zero-dimensional-duty"])
 def test_malformed_scenario_shapes_name_their_path(scenario, message):
     with pytest.raises(ConfigError, match=r"^\$\.scenario: " + message):
         from_dict({"scenario": scenario})

@@ -11,6 +11,7 @@ fit to the per-pattern mask loop it replaced, which is kept here as oracle.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from mpfusion.scenario import (
 
 from helpers import (
     gfun,
+    node_designs,
     node_moments,
     optimize_p2,
     own_components,
@@ -289,13 +291,13 @@ def test_converged_designs_are_first_order_optimal(cfg):
     nodes = np.array(top.nodes)
     hood = neighbourhood_designs(moments, top, 0.1)
     box = stability_box(top) * (1 - 1e-9)
+    assert hood.converged.all()
     for j in top.nodes:
-        assert hood[j].converged
-        cols = [j] + list(hood[j].coefficients)
-        row = np.r_[1.0, list(hood[j].coefficients.values())]
+        cols = [j] + list(neighbors(top, j))
+        row = hood.weights[j - 1, np.array(cols) - 1]
         assert _projected_slack(moments, [j], cols, row[None], 0.1, box)[0] <= 1e-6
     p1 = optimize_p1(moments, top, 0.1, hood)
-    assert p1.notes == ()
+    assert p1.converged.all()
     cols = np.array([[j] + [i for i in top.nodes if i != j] for j in top.nodes])
     rows = p1.weights[nodes[:, None] - 1, cols - 1]
     assert (_projected_slack(moments, nodes, cols, rows, 0.1, 2.0) <= 1e-6).all()
@@ -320,7 +322,7 @@ def test_designs_reach_the_pinned_model_pd(cell):
     top = cfg.topology()
     hood = neighbourhood_designs(moments, top, 0.1)
     p1 = optimize_p1(moments, top, 0.1, hood)
-    assert all(hood[j].pd >= prop[j - 1] - 1e-9 for j in top.nodes)
+    assert (hood.pd >= np.array(prop) - 1e-9).all()
     assert (p1.pd >= np.array(opt) - 1e-9).all()
 
 
@@ -330,13 +332,12 @@ def test_tree_designs_converge_and_keep_their_order():
     top = cfg.topology()
     hood = neighbourhood_designs(moments, top, 0.1)
     p1 = optimize_p1(moments, top, 0.1, hood)
-    assert all(hood[j].converged for j in top.nodes)
-    assert p1.notes == ()
+    assert hood.converged.all() and p1.converged.all()
     for j in top.nodes:
         local = moments.stats_for_row(j, [j], [1.0])
         pd_local = gfun(solve_threshold(local, -1, 0.1), 1, local)
-        assert hood[j].pd >= pd_local - 1e-12
-        assert p1.pd[j - 1] >= hood[j].pd - 1e-12
+        assert hood.pd[j - 1] >= pd_local - 1e-12
+        assert p1.pd[j - 1] >= hood.pd[j - 1] - 1e-12
 
 
 def test_rows_stop_at_the_resolution_of_pd():
@@ -346,7 +347,7 @@ def test_rows_stop_at_the_resolution_of_pd():
     moments = moments_from_scenario(scenario_stats(cfg))
     top = cfg.topology()
     hood = neighbourhood_designs(moments, top, 0.1)
-    assert hood[3].converged and hood[3].evaluations <= 20
+    assert hood.converged[2] and hood.evaluations[2] <= 20
     # a restart at the converged network design gains no resolvable Pd: every
     # row stops once its trials promise no more (node 3 once took 47 trials)
     p1 = optimize_p1(moments, top, 0.1, hood)
@@ -368,7 +369,8 @@ def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
         return ascend(moments, nodes, *args)
 
     monkeypatch.setattr(optimizer, "_ascend_rows", counted)
-    assert neighbourhood_designs(moments, top, 0.1) == hood
+    assert node_designs(neighbourhood_designs(moments, top, 0.1), top) == {
+        j: optimize_p2(moments, top, j, alpha=0.1) for j in top.nodes}
     assert calls == [[1, 2, 3, 4, 5]]        # one lockstep ascent for every degree
     calls.clear()
     optimize_p1(moments, top, 0.1, hood)
@@ -377,14 +379,21 @@ def test_neighbourhood_designs_equal_per_node_designs(monkeypatch):
     cfg = ScenarioConfig(node_count=4, edges=star_top.edges, rho_db=-6.0,
                          coverage={1: (1, 2, 3, 4)}, on_prob=(0.5,))
     stars = moments_from_scenario(scenario_stats(cfg))
-    assert neighbourhood_designs(stars, star_top, 0.1) == {
+    assert node_designs(neighbourhood_designs(stars, star_top, 0.1), star_top) == {
         j: optimize_p2(stars, star_top, j, alpha=0.1) for j in star_top.nodes}
     # the 15-node tree: degrees 1, 2 and 3 padded to 3 in one ascent
     tree = tree_config()
     tree_top = tree.topology()
     trees = moments_from_scenario(scenario_stats(tree))
-    assert neighbourhood_designs(trees, tree_top, 0.1) == {
+    tree_design = neighbourhood_designs(trees, tree_top, 0.1)
+    assert node_designs(tree_design, tree_top) == {
         j: optimize_p2(trees, tree_top, j, alpha=0.1) for j in tree_top.nodes}
+    # padded coordinates leave the unit diagonal and every non-neighbour at 0
+    support = np.eye(tree_top.node_count, dtype=bool)
+    for i, j in tree_top.edges:
+        support[i - 1, j - 1] = support[j - 1, i - 1] = True
+    np.testing.assert_array_equal(np.diag(tree_design.weights), 1.0)
+    np.testing.assert_array_equal(tree_design.weights[~support], 0.0)
 
 
 # ------------------------------------------------------------ network tune
@@ -396,15 +405,13 @@ def _p1_inputs():
     cfg = ScenarioConfig(rho_db=-8.0)
     moments = moments_from_scenario(scenario_stats(cfg))
     top = cfg.topology()
-    hood = {j: optimize_p2(moments, top, j, alpha=0.1) for j in top.nodes}
-    return moments, top, hood
+    return moments, top, neighbourhood_designs(moments, top, 0.1)
 
 
 def test_optimize_p1_not_worse_than_zero_extended_neighbourhood():
     moments, top, hood = _p1_inputs()
     p1 = optimize_p1(moments, top, 0.1, hood)
-    for node in top.nodes:
-        assert p1.pd[node - 1] >= hood[node].pd - 1e-9
+    assert (p1.pd >= hood.pd - 1e-9).all()
     np.testing.assert_allclose(np.diag(p1.weights), 1.0)
     np.testing.assert_allclose(p1.pf, 0.1, atol=1e-6)
 
@@ -414,22 +421,20 @@ def test_optimize_p1_names_rows_stopped_at_sweep_cap(monkeypatch):
     monkeypatch.setattr(optimizer, "_MAX_STEPS", 1)
     moments, top, hood = _p1_inputs()
     p1 = optimize_p1(moments, top, 0.1, hood)
-    assert p1.notes == ("gradient ascent stopped with a projected gradient above "
-                        "1e-06 for nodes 1, 2, 3, 4, 5",)
+    assert p1.converged.tolist() == [False] * 5
+    assert p1.evaluations.tolist() == [2] * 5
 
 
-@pytest.mark.parametrize("node,design,message", [
-    (4, None, "no neighbourhood design for node 4"),
-    (2, (3, 0.1), "for node 2 is for node 3"),
-    (5, (5, 0.05), "for node 5 is for node 5 at false-alarm rate 0.05"),
-], ids=["missing", "other-node", "other-alpha"])
-def test_optimize_p1_checks_its_neighbourhood_designs(node, design, message):
+@pytest.mark.parametrize("design,message", [
+    ("other-alpha", "start design is for false-alarm rate 0.05, not 0.1"),
+    ("node-count", "start design has 4 nodes, not 5"),
+], ids=["other-alpha", "node-count"])
+def test_optimize_p1_checks_its_neighbourhood_designs(design, message):
     moments, top, hood = _p1_inputs()
-    if design is None:
-        del hood[node]
+    if design == "other-alpha":
+        hood = neighbourhood_designs(moments, top, 0.05)
     else:
-        other, alpha = design
-        hood[node] = optimize_p2(moments, top, other, alpha=alpha)
+        hood = replace(hood, weights=hood.weights[:4, :4])
     with pytest.raises(ValueError, match=message):
         optimize_p1(moments, top, 0.1, hood)
 
@@ -488,7 +493,8 @@ def test_blind_adapt_recovers_labels_on_easy_data():
     assert isinstance(res, BlindResult)
     assert res.final_accuracy > 0.95
     assert res.final_accuracy >= res.initial_accuracy - 0.01
-    assert set(res.solutions) == {1, 2, 3}
+    assert res.design.weights.shape == (3, 3)
+    assert res.design.converged.shape == res.design.pd.shape == (3,)
 
 
 def test_blind_adapt_majority_rounds_idempotent():
@@ -503,8 +509,7 @@ def test_blind_adapt_deterministic():
     a = blind_adapt(gamma, top, alpha=0.1)
     b = blind_adapt(gamma, top, alpha=0.1)
     np.testing.assert_array_equal(a.labels, b.labels)
-    for j in (1, 2, 3):
-        assert a.solutions[j].coefficients == b.solutions[j].coefficients
+    np.testing.assert_array_equal(a.design.weights, b.design.weights)
 
 
 def test_blind_adapt_single_class_raises():

@@ -161,6 +161,24 @@ def test_energy_moments_monte_carlo(snr_db):
     assert abs(g.var() - var) < 5 * var * math.sqrt(2.0 / n)
 
 
+def test_moments_of_arrays_equal_scalar_moments():
+    # scenario_stats prices a whole (nodes, patterns) table in one call
+    gen = rng.stream(80, rng.GENERIC, 3)
+    energy = 100.0 * gen.uniform(0.0, 2.0, (5, 8))
+    cross = energy * gen.uniform(-1.0, 1.0, (5, 8))
+    tau0 = energy_threshold(1.3, 100, 0.1)
+    tables = (energy_moments(energy, 1.3, 100, tau0), matched_moments(energy, cross, 1.3))
+    for idx in np.ndindex(energy.shape):
+        want = (energy_moments(float(energy[idx]), 1.3, 100, tau0),
+                matched_moments(float(energy[idx]), float(cross[idx]), 1.3))
+        for (mean, var), (m, v) in zip(tables, want):
+            assert (mean[idx], var[idx]) == (m, v)
+    with pytest.raises(ValueError, match="nonnegative"):
+        energy_moments(np.array([1.0, -1e-300]), 1.0, 100, tau0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        matched_moments(np.array([[1.0], [-1.0]]), 0.0, 1.0)
+
+
 def test_gen_observations_moments():
     gen = rng.stream(79, rng.GENERIC, 2)
     y = gen_observations(np.full(2000, 1.5), 0.25, 32, gen)

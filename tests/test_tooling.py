@@ -17,11 +17,15 @@ fourth keeps test-only entry points out of the library: every
 top-level public function and class of `src/mpfusion` must be loaded
 somewhere in the library or the harness, outside its own definition.
 Builders and oracles that only the tests call belong in `tests/helpers.py`.
+A fifth reads a small cell of every `preset-cell` preset the way the
+benchmark does, through `workloads._plain` and its threshold and design
+checks, so a report shape the harness cannot read fails here.
 """
 
 import os
 import subprocess
 import sys
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -139,3 +143,25 @@ def _public_api_without_callers() -> list:
 
 def test_library_has_no_test_only_api():
     assert _public_api_without_callers() == []
+
+
+def test_benchmark_reads_every_cell_preset(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import checks
+    import workloads
+    from mpfusion import pipeline
+    from mpfusion.scenario import ScenarioConfig
+
+    cfg = ScenarioConfig()
+    with warnings.catch_warnings():
+        # egc1.0 sits on the chain's stability bound and warns by design
+        warnings.simplefilter("ignore")
+        results = pipeline.evaluate_cell(cfg, workloads.CELL_PRESETS, 5, training_slots=60,
+                                         calibration_slots=500, eval_slots=500)
+    plain = [workloads._plain(res) for res in results]
+    linear = {res["label"] for res in plain if res["weights"] is not None}
+    assert linear == {label for label in workloads.CELL_PRESETS
+                      if workloads.preset_kind(label) not in ("mp", "bp")}
+    mix = checks.Mixtures("preset-cell")
+    assert checks.check_thresholds(plain, mix, cfg.far) == []
+    assert checks.check_designs(plain, mix, cfg.far) == []
