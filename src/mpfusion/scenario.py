@@ -236,53 +236,52 @@ def pu_configs(config: ScenarioConfig) -> np.ndarray:
     return ((idx[:, None] >> np.arange(p)) & 1).astype(np.int8)
 
 
-def _transition_matrix(config: ScenarioConfig) -> np.ndarray:
-    """(2^P, 2^P) one-slot kernel, trans[a, b] = P(pattern a -> pattern b).
-
-    The independent-flip part is built as one (m, m) product per
-    transmitter, multiplied in transmitter order, so every entry carries
-    the same rounding as a per-entry product over the chains.
-    """
-    pats = pu_configs(config)
-    m = pats.shape[0]
-    pi = np.array(config.on_prob)
-    kappa = config.coupling
-    f = config.flip
-    up = 2.0 * f * pi            # P(off -> on) per chain
-    down = 2.0 * f * (1.0 - pi)  # P(on -> off) per chain
-    on = pats == 1
-    stay = np.where(on, 1.0 - down, 1.0 - up)      # (m, P), by source row
-    move = np.where(on, down, up)
-    trans = np.ones((m, m))
-    for c in range(config.pu_count):
-        same = pats[:, None, c] == pats[None, :, c]
-        trans *= np.where(same, stay[:, None, c], move[:, None, c])
-    trans *= 1.0 - kappa
-    if kappa > 0.0:
-        trans[:, m - 1] += kappa * pi[0]
-        trans[:, 0] += kappa * (1.0 - pi[0])
-    return trans
-
-
 def stationary_activity(config: ScenarioConfig) -> np.ndarray:
-    """Stationary distribution over the 2^P activity patterns.
+    """Stationary distribution over the 2^P activity patterns, in closed form.
 
-    Solved exactly from the one-slot transition kernel, so it reflects the
-    cross-transmitter correlation induced by the common-draw coupling (it is
-    a product law only at coupling = 0).  Raises if there is no unique law.
+    The one-slot kernel is (1 - kappa) K + kappa 1 r^T, with K the product of
+    the transmitters' two-state chains (law pi_c, second eigenvalue
+    lam = 1 - 2 flip) and r a reset to all-on (weight on_prob[0]) or all-off.
+    Summing the kernel's geometric series gives
+    mu(x) = sum_reset w sum_S g_|S| prod_{c in S} d_c prod_{c not in S} pi_c,
+    with d_c = 1[x_c = reset_c] - pi_c(x_c), g_0 = 1 and
+    g_k = kappa / (1 - (1 - kappa) lam^k): the product law at coupling = 0.
+    Per pattern the subset sum is the z-polynomial prod_c (pi_c + z d_c); a
+    chain off the reset contributes pi_c (1 - z), whose (1 - z) is taken as a
+    difference of the gains, so no coefficient cancels.  Raises if there is
+    no unique law.
     """
-    if config.pu_count > 10:
-        raise ValueError("stationary solve limited to 10 transmitters")
-    if config.flip == 0.0 and config.coupling == 0.0:
+    p = config.pu_count
+    if p > 10:
+        raise ValueError("activity pattern laws are limited to 10 transmitters")
+    kappa, lam = config.coupling, 1.0 - 2.0 * config.flip
+    if kappa == 0.0 and lam == 1.0:
         raise ValueError("flip = 0 and coupling = 0 make every activity pattern "
                          "absorbing: there is no unique stationary law")
-    trans = _transition_matrix(config)
-    m = trans.shape[0]
-    a = trans.T - np.eye(m)
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    probs = np.linalg.solve(a, b)
+    if kappa == 0.0 and lam == -1.0 and p > 1:
+        raise ValueError("flip = 1 and coupling = 0 make every activity pattern "
+                         "alternate with its complement: there is no unique "
+                         "stationary law")
+    on = pu_configs(config).T == 1                       # (P, M)
+    duty = np.array(config.on_prob)[:, None]
+    pi = np.where(on, duty, 1.0 - duty)
+    match = np.stack([~on, on])                          # resets all-off, all-on
+    grow = match * (1.0 - pi)
+    # coef[reset, x, j]: the z^j coefficient of prod_c (pi_c + z grow_c)
+    coef = np.zeros((2, on.shape[1], p + 1))
+    coef[..., 0] = 1.0
+    for c in range(p):
+        coef[..., 1:] = coef[..., 1:] * pi[c, :, None] + coef[..., :-1] * grow[:, c, :, None]
+        coef[..., 0] *= pi[c]
+    # gain[m, j] = sum_i C(m, i) (-1)^i g_{j+i} for m chains off the reset;
+    # entries past j = P - m meet zero coefficients
+    k = np.arange(1, p + 1)
+    gain = np.zeros((p + 1, p + 1))
+    gain[0] = np.append(1.0, kappa / (kappa + (1.0 - kappa) * (1.0 - lam ** k)))
+    for m in k:
+        gain[m, :-1] = gain[m - 1, :-1] - gain[m - 1, 1:]
+    w = np.array([1.0 - config.on_prob[0], config.on_prob[0]])[:, None, None]
+    probs = (w * coef * gain[p - match.sum(axis=1)]).sum(axis=(0, 2))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 

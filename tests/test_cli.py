@@ -291,3 +291,16 @@ def test_failed_run_leaves_no_out_directory(tmp_path, capsys, argv):
     assert main(argv + config + ["--out", str(out)]) == 2
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-snr", "optimize"])
+def test_alternating_activity_is_a_clean_error(tmp_path, capsys, command):
+    # flip 1 without coupling negates every chain each slot: a pattern only
+    # meets its complement, so no unique activity law exists to start from
+    path = tmp_path / "alternating.json"
+    path.write_text(json.dumps({"scenario": {"coupling": 0.0, "flip": 1.0}}))
+    out = tmp_path / "never"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: flip = 1 and coupling = 0" in err
+    assert not out.exists()

@@ -1,15 +1,15 @@
 """Occupancy process, campaigns, and the two calibration routes.
 
-The stationary law is cross-checked by powering the transition kernel from
-an arbitrary start (an independent route to the same fixed point), and the
-analytic score moments by Monte Carlo campaigns.  The tails of
+The closed-form stationary law is cross-checked against the transition
+kernel built entry by entry: it must be the kernel's fixed point, and
+powering the kernel from an arbitrary start must reach it.  The analytic
+score moments are checked by Monte Carlo campaigns.  The tails of
 `stats_for_weights` (analytic, the per-node oracle in `helpers`) must match
 the tail rates a sampled campaign counts — each route vouches for the other.
 
 The vectorised hot paths are pinned to the loops they replaced, kept here as
-oracles: the per-slot activity step, the per-entry transition kernel, the
-masked per-node split of the exact pattern components and the per-sample
-matched statistic.  Energy scores are drawn from their exact per-slot law,
+oracles: the per-slot activity step, the masked per-node split of the exact
+pattern components and the per-sample matched statistic.  Energy scores are drawn from their exact per-slot law,
 not per sample, so they are pinned to that law, to `sensing.energy_moments`
 and to the per-sample statistic in distribution.
 """
@@ -39,7 +39,6 @@ from mpfusion.scenario import (
     with_rho,
     _OBS_CHUNK,
     _WALK_BLOCK,
-    _transition_matrix,
 )
 from mpfusion.sensing import energy_moments
 
@@ -97,7 +96,7 @@ def test_nominal_template_is_all_on_sum():
 def test_transition_rows_are_distributions():
     for kappa in (0.0, 0.4, 1.0):
         cfg = ScenarioConfig(coupling=kappa)
-        trans = _transition_matrix(cfg)
+        trans = _transition_matrix_oracle(cfg)
         np.testing.assert_allclose(trans.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(trans >= 0)
 
@@ -106,7 +105,7 @@ def test_transition_rows_are_distributions():
 def test_stationary_matches_powered_kernel(kappa):
     cfg = ScenarioConfig(coupling=kappa)
     want = stationary_activity(cfg)
-    trans = _transition_matrix(cfg)
+    trans = _transition_matrix_oracle(cfg)
     dist = np.array([1.0, 0.0, 0.0, 0.0])
     for _ in range(4000):
         dist = dist @ trans
@@ -114,12 +113,14 @@ def test_stationary_matches_powered_kernel(kappa):
 
 
 def test_independent_chains_factorize():
-    cfg = ScenarioConfig(coupling=0.0, on_prob=(0.3, 0.8))
-    probs = stationary_activity(cfg)
-    pats = pu_configs(cfg)
-    for pat, p in zip(pats, probs):
-        want = (0.3 if pat[0] else 0.7) * (0.8 if pat[1] else 0.2)
-        assert p == pytest.approx(want, abs=1e-12)
+    # rare flips included: a solve of the kernel missed this law by 2.3e-13
+    for flip in (0.2, 1e-4):
+        cfg = ScenarioConfig(coupling=0.0, on_prob=(0.3, 0.8), flip=flip)
+        probs = stationary_activity(cfg)
+        pats = pu_configs(cfg)
+        for pat, p in zip(pats, probs):
+            want = (0.3 if pat[0] else 0.7) * (0.8 if pat[1] else 0.2)
+            assert p == pytest.approx(want, abs=1e-15)
 
 
 def test_full_coupling_locks_chains_together():
@@ -147,6 +148,20 @@ def test_zero_flip_zero_coupling_has_no_stationary_law():
         with pytest.raises(ValueError) as err:
             entry()
         assert "flip" in str(err.value) and "coupling" in str(err.value)
+
+
+def test_unit_flip_zero_coupling_has_no_stationary_law():
+    # every step negates every chain, so a pattern meets only its complement
+    cfg = ScenarioConfig(coupling=0.0, flip=1.0)
+    for entry in (lambda: run_campaign(cfg, 10, 1), lambda: scenario_stats(cfg),
+                  lambda: stationary_activity(cfg)):
+        with pytest.raises(ValueError) as err:
+            entry()
+        assert "flip = 1" in str(err.value) and "coupling = 0" in str(err.value)
+    # one transmitter alone alternates between its two states half the time each
+    one = ScenarioConfig(node_count=3, coverage={1: (1, 2, 3)}, on_prob=(0.5,),
+                         coupling=0.0, flip=1.0)
+    np.testing.assert_array_equal(stationary_activity(one), [0.5, 0.5])
 
 
 def test_draw_activity_long_run_frequencies():
@@ -218,22 +233,28 @@ def _draw_activity_oracle(config, slots, gen):
 
 
 @st.composite
-def _walk_cases(draw):
+def _chain_configs(draw, stationary=False):
+    """Coupled chains, one transmitter per node; `stationary` leaves out
+    the frozen start, so the kernel has a unique law."""
     p = draw(st.integers(1, 8))
     coupling = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     if coupling > 0.0:
         duty = (draw(st.floats(0.0, 1.0)),) * p
     else:
         duty = tuple(draw(st.floats(0.0, 1.0)) for _ in range(p))
-    start = draw(st.none() | st.tuples(*[st.integers(0, 1)] * p))
+    start = None if stationary else draw(st.none() | st.tuples(*[st.integers(0, 1)] * p))
     # a frozen uncoupled kernel has no unique stationary law to start from
     lowest = 0.0 if start is not None else 0.01
     share = draw(st.floats(lowest, 0.99))
     flip = share / (2.0 * max(max(x, 1.0 - x) for x in duty))
-    cfg = ScenarioConfig(node_count=p, coverage={c: (c,) for c in range(1, p + 1)},
-                         on_prob=duty, flip=flip, coupling=coupling,
-                         initial_activity=start)
-    return cfg, draw(st.integers(1, 2000)), draw(st.integers(0, 2 ** 32 - 1))
+    return ScenarioConfig(node_count=p, coverage={c: (c,) for c in range(1, p + 1)},
+                          on_prob=duty, flip=flip, coupling=coupling,
+                          initial_activity=start)
+
+
+@st.composite
+def _walk_cases(draw):
+    return draw(_chain_configs()), draw(st.integers(1, 2000)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -263,36 +284,45 @@ def test_draw_activity_matches_per_slot_walk(case):
     np.testing.assert_array_equal(got, want)
 
 
-def _transition_matrix_oracle(config):
-    """The kernel entry by entry, one product over the chains each."""
+def _transition_matrix_oracle(config, dtype=float):
+    """The kernel entry by entry, one product over the chains each, with its
+    arithmetic in `dtype`."""
     pats = pu_configs(config)
     m = pats.shape[0]
-    pi = np.array(config.on_prob)
-    kappa = config.coupling
-    up = 2.0 * config.flip * pi
-    down = 2.0 * config.flip * (1.0 - pi)
-    trans = np.zeros((m, m))
+    pi = np.array(config.on_prob, dtype=dtype)
+    kappa = dtype(config.coupling)
+    up = 2.0 * dtype(config.flip) * pi
+    down = 2.0 * dtype(config.flip) * (1.0 - pi)
+    trans = np.zeros((m, m), dtype=dtype)
     for a in range(m):
         stay = np.where(pats[a] == 1, 1.0 - down, 1.0 - up)
         move = np.where(pats[a] == 1, down, up)
-        for b in range(m):
-            trans[a, b] = (1.0 - kappa) * np.prod(
-                np.where(pats[b] == pats[a], stay, move))
+        # one product over the chains per entry of row a
+        trans[a] = (1.0 - kappa) * np.prod(np.where(pats == pats[a], stay, move), axis=1)
         if kappa > 0.0:
             trans[a, m - 1] += kappa * pi[0]
             trans[a, 0] += kappa * (1.0 - pi[0])
     return trans
 
 
-@pytest.mark.parametrize("p", range(1, 9))
-def test_transition_matrix_matches_per_entry_product(p):
-    coverage = {c: (c,) for c in range(1, p + 1)}
-    for kappa, duty in ((0.0, tuple(np.linspace(0.2, 0.7, p))),
-                        (0.4, (0.35,) * p), (1.0, (0.5,) * p)):
-        cfg = ScenarioConfig(node_count=p, coverage=coverage, on_prob=duty,
-                             coupling=kappa, flip=0.3)
-        np.testing.assert_array_equal(_transition_matrix(cfg),
-                                      _transition_matrix_oracle(cfg))
+@settings(max_examples=200, deadline=None)
+@given(_chain_configs(stationary=True))
+@example(ScenarioConfig(coupling=1.0))
+@example(ScenarioConfig(coupling=0.0, flip=1e-4))
+@example(ScenarioConfig(coupling=0.3, flip=0.0))
+@example(ScenarioConfig(coupling=0.5, flip=1.0))
+@example(tree_config())
+def test_stationary_law_is_a_fixed_point_of_the_kernel(cfg):
+    probs = stationary_activity(cfg)
+    assert probs.shape == (2 ** cfg.pu_count,)
+    assert np.all(probs >= 0.0)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+    # the residual is taken in extended precision where the platform has it:
+    # in doubles, the kernel's own rounding leaves even the correctly rounded
+    # law up to 2.4e-15 off its fixed point on eight chains
+    trans = _transition_matrix_oracle(cfg, np.longdouble)
+    resid = probs.astype(np.longdouble) @ trans - probs
+    assert np.max(np.abs(resid)) <= 2e-15
 
 
 def test_node_states_or_rule():

@@ -20,12 +20,28 @@ Builders and oracles that only the tests call belong in `tests/helpers.py`.
 A fifth reads a small cell of every `preset-cell` preset the way the
 benchmark does, through `workloads._plain` and its threshold and design
 checks, so a report shape the harness cannot read fails here.
+
+The last two make bit-identity a check rather than a claim.  Two
+subprocesses run `workloads.run_round` of `preset-cell` and `tree-engines`,
+one with BLAS and OpenMP at one thread, the other at two: fixed-seed outputs
+must not depend on the thread count, and the one-thread outputs at both
+workload seeds must match the sha256 digests in
+`tests/data/run_round_digests.json`.  The digests hold for the numpy version
+and platform recorded beside them; elsewhere that check is skipped.  A
+change that moves an output on purpose says which arrays moved and why, and
+commits the JSON the failing check prints.
 """
 
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
+
+import numpy as np
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -165,3 +181,79 @@ def test_benchmark_reads_every_cell_preset(monkeypatch):
     mix = checks.Mixtures("preset-cell")
     assert checks.check_thresholds(plain, mix, cfg.far) == []
     assert checks.check_designs(plain, mix, cfg.far) == []
+
+
+_ROUND_SCRIPT = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import numpy as np
+import workloads
+
+arrays = {{}}
+for name in ("preset-cell", "tree-engines"):
+    for seed in {seeds!r}:
+        out = workloads.run_round(workloads.build(name, seed))
+        for part, rows in out.items():
+            for i, row in enumerate(rows):
+                tag = row.get("label") or row["convention"] + str(row["iteration"])
+                for key, value in row.items():
+                    if isinstance(value, dict):
+                        value = [(*edge, c) for edge, c in sorted(value.items())]
+                    if value is not None and not isinstance(value, str):
+                        arrays[f"{{name}}/{{seed}}/{{part}}/{{i}}:{{tag}}/{{key}}"] = np.asarray(value)
+np.savez({path!r}, **arrays)
+"""
+
+_DIGESTS = os.path.join(ROOT, "tests", "data", "run_round_digests.json")
+_SEEDS = (12345, 90940)          # perfbench/workloads MASTER_SEED, HELD_OUT_SEED
+
+
+@pytest.fixture(scope="module")
+def round_outputs(tmp_path_factory):
+    """Every output array of one round of each workload, by name: at one
+    BLAS thread for both seeds and at two for the first, run side by side."""
+    runs = {}
+    for threads, seeds in ((1, _SEEDS), (2, _SEEDS[:1])):
+        path = str(tmp_path_factory.mktemp("rounds") / f"threads{threads}.npz")
+        script = _ROUND_SCRIPT.format(bench=os.path.join(ROOT, "perfbench"),
+                                      src=os.path.join(ROOT, "src"), seeds=seeds, path=path)
+        env = dict(os.environ, **{var: str(threads) for var in
+                                  ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+        runs[threads] = (path, subprocess.Popen([sys.executable, "-c", script], env=env,
+                                                stderr=subprocess.PIPE, text=True))
+    out = {}
+    for threads, (path, proc) in runs.items():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        with np.load(path) as data:
+            out[threads] = {name: data[name] for name in data.files}
+    return out
+
+
+def _digest(array: np.ndarray) -> str:
+    head = f"{array.dtype.str}{array.shape}".encode()
+    return hashlib.sha256(head + np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def test_fixed_seed_outputs_do_not_depend_on_blas_threads(round_outputs):
+    one, two = round_outputs[1], round_outputs[2]
+    shared = {name for name in one if name.split("/")[1] == str(_SEEDS[0])}
+    assert set(two) == shared
+    moved = [name for name in sorted(two)
+             if not np.array_equal(one[name], two[name], equal_nan=True)]
+    assert moved == [], f"outputs that differ at one and two BLAS threads: {moved}"
+
+
+def test_fixed_seed_outputs_match_their_digests(round_outputs):
+    with open(_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    here = {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+    if {key: want[key] for key in here} != here:
+        pytest.skip(f"digests recorded on {want['platform']} with numpy {want['numpy']}")
+    got = dict(here, digests={name: _digest(a) for name, a in sorted(round_outputs[1].items())})
+    names = set(want["digests"]) | set(got["digests"])
+    moved = sorted(name for name in names
+                   if want["digests"].get(name) != got["digests"].get(name))
+    if moved:
+        print(json.dumps(got, indent=1))
+    assert moved == [], f"outputs whose digest moved: {moved}"
